@@ -5,9 +5,10 @@ attack detection."""
 __version__ = "0.1.0"
 
 from .roadnet import (GeometryConfig, Heading, Movement, RightTurn, RoadNetwork,
-                      build_arterial_network, movement_of, upstream_feeders)
+                      build_arterial_network, upstream_feeders)
 from .microsim import CarFollowingParams, Vehicle, World, krauss_safe_speed
-from .msgplane import BsmRecord, FeatureSample, emit_bsm, sample_features
+from .msgplane import (BsmRecord, FeatureSample, emit_bsm, feeder_streams,
+                       node_stream_stats, sample_features)
 from .atsc import SignalController, compute_aawt, select_green
 from .attacker import (AttackConfig, AttackMode, ControllerAwarePolicy,
                        FixedRatePolicy, SlowPoisoningAttacker)
@@ -16,4 +17,4 @@ from .neuralnet import (LstmRegressor, NormalizationSpec, TrainingConfig,
 from .detector import (DetectionThreshold, DetectorSpec, FeatureMode,
                        build_dataset, compute_threshold, detect,
                        detection_report, train_detector)
-from .harness import ScenarioConfig, run_experiment, run_scenario
+from .harness import ScenarioConfig, run_experiment, run_scenario, write_verdicts

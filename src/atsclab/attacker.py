@@ -14,8 +14,8 @@ from enum import Enum
 from typing import Mapping
 
 from .errors import ConfigError
-from .microsim import (FAKE, CarFollowingParams, Vehicle, World,
-                       WAITING_SPEED, krauss_safe_speed, update_waiting)
+from .microsim import (FAKE, LOOKAHEAD, CarFollowingParams, Vehicle, World,
+                       krauss_safe_speed, update_waiting)
 from .msgplane import BsmRecord, FeatureSample
 from .roadnet import Heading, Movement, RoadNetwork, Stream
 
@@ -37,6 +37,13 @@ class ControllerAwarePolicy:
     max_rate_vph: float = 360.0
 
 
+def injection_rate(policy: FixedRatePolicy | ControllerAwarePolicy) -> float:
+    """The policy's injection rate (cap), vehicles per hour; 0 never injects."""
+    if isinstance(policy, FixedRatePolicy):
+        return policy.rate_vph
+    return policy.max_rate_vph
+
+
 @dataclass
 class AttackConfig:
     start: float = 400.0                  # s, relative to analysis-window start
@@ -53,9 +60,7 @@ class AttackConfig:
             raise ConfigError("attack start must be non-negative")
         if self.max_concurrent < 1 or self.min_headway <= 0:
             raise ConfigError("bad attack caps")
-        rate = getattr(self.policy, "rate_vph", None) or \
-            getattr(self.policy, "max_rate_vph", None)
-        if rate is None or rate < 0:
+        if injection_rate(self.policy) < 0:
             raise ConfigError("injection rate must be non-negative")
         if getattr(self.policy, "margin", 0.0) < 0:
             raise ConfigError("margin must be non-negative")
@@ -136,13 +141,8 @@ class SlowPoisoningAttacker:
     # -- shared decision logic ----------------------------------------------
 
     def _headway(self) -> float:
-        if isinstance(self.cfg.policy, FixedRatePolicy):
-            rate = self.cfg.policy.rate_vph
-        else:
-            rate = self.cfg.policy.max_rate_vph
-        if rate <= 0:
-            return float("inf")
-        return max(self.cfg.min_headway, 3600.0 / rate)
+        rate = injection_rate(self.cfg.policy)
+        return max(self.cfg.min_headway, 3600.0 / rate) if rate > 0 else float("inf")
 
     def _wants_injection(self, t: float, sample: FeatureSample | None,
                          n_active: int) -> tuple[bool, str]:
@@ -150,7 +150,9 @@ class SlowPoisoningAttacker:
             return False, "pre-start"
         if n_active >= self.cfg.max_concurrent:
             return False, "at-cap"
-        if self.last_injection is not None and t - self.last_injection < self._headway():
+        headway = self._headway()     # infinite at a zero rate: never inject
+        if headway == float("inf") or (self.last_injection is not None
+                                       and t - self.last_injection < headway):
             return False, "headway"
         if sample is None:
             return False, "no-telemetry"
@@ -261,7 +263,7 @@ class SlowPoisoningAttacker:
             return w.speed, w.pos - w.length - v.pos - v.min_gap
         edge = self.net.edges[v.edge_id]
         dist_end = edge.length - v.pos
-        if dist_end > 100.0 or edge.to is None:
+        if dist_end > LOOKAHEAD or edge.to is None:
             return None
         nxt = v.route[v.route_index + 1] if v.route_index + 1 < len(v.route) else None
         if nxt is None:

@@ -3,14 +3,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from .detector import FeatureMode, detect, load_detector, save_detector, train_detector
 from .errors import AtscLabError
-from .harness import (ScenarioConfig, default_output_root, fmt, load_feature_log,
-                      run_experiment, run_scenario)
+from .harness import (ScenarioConfig, default_output_root, load_feature_log,
+                      run_experiment, run_scenario, write_verdicts)
 from .svgplot import ChartStyle, Series, render_svg
 
 
@@ -31,7 +32,7 @@ def _cmd_train(args) -> int:
               if cfg.analysis_start <= s.t < cfg.analysis_end] or samples
     tcfg = cfg.detector.training
     if args.epochs is not None:
-        tcfg.epochs = args.epochs
+        tcfg = dataclasses.replace(tcfg, epochs=args.epochs)
     spec, ds, curves = train_detector(window, FeatureMode(args.mode), tcfg,
                                       hidden1=cfg.detector.hidden1,
                                       hidden2=cfg.detector.hidden2)
@@ -45,14 +46,7 @@ def _cmd_detect(args) -> int:
     spec = load_detector(args.model)
     samples = load_feature_log(args.features)
     verdicts = detect(spec, samples)
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "observed", "predicted", "abs_error", "threshold", "flagged"])
-        for v in verdicts:
-            if v.valid:
-                w.writerow([fmt(v.t), fmt(v.observed), fmt(v.predicted),
-                            fmt(v.abs_error), str(spec.threshold.effective),
-                            "1" if v.flagged else "0"])
+    write_verdicts(args.out, spec, verdicts)
     n_flags = sum(1 for v in verdicts if v.valid and v.flagged)
     print(f"{n_flags} flagged seconds -> {args.out}")
     return 0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 from enum import Enum
 
@@ -233,17 +234,20 @@ def save_detector(spec: DetectorSpec, path) -> None:
 
 
 def load_detector(path) -> DetectorSpec:
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise DataError(f"unsupported checkpoint version {meta.get('version')}")
-        model = LstmRegressor.from_state(meta["input_dim"], meta["hidden1"],
-                                         meta["hidden2"],
-                                         {k: data[k] for k in data.files
-                                          if k not in ("meta", "feat_min", "feat_max")})
-        norm = NormalizationSpec(feat_min=data["feat_min"], feat_max=data["feat_max"],
-                                 target_min=meta["target_min"],
-                                 target_max=meta["target_max"])
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+            if meta.get("version") != CHECKPOINT_VERSION:
+                raise DataError(f"unsupported checkpoint version {meta.get('version')}")
+            model = LstmRegressor.from_state(meta["input_dim"], meta["hidden1"],
+                                             meta["hidden2"],
+                                             {k: data[k] for k in data.files
+                                              if k not in ("meta", "feat_min", "feat_max")})
+            norm = NormalizationSpec(feat_min=data["feat_min"], feat_max=data["feat_max"],
+                                     target_min=meta["target_min"],
+                                     target_max=meta["target_max"])
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise DataError(f"cannot read detector checkpoint {path}: {exc}") from exc
     return DetectorSpec(mode=FeatureMode(meta["mode"]), model=model, norm=norm,
                         threshold=DetectionThreshold(raw=meta["threshold_raw"],
                                                      effective=meta["threshold_effective"]),

@@ -12,7 +12,8 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 
 from . import atsc, msgplane
@@ -21,13 +22,14 @@ from .attacker import (AttackConfig, AttackMode, ControllerAwarePolicy,
 from .detector import (DetectorSpec, FeatureMode, detect, detection_report,
                        train_detector)
 from .errors import ConfigError, DataError
-from .microsim import REAL, CarFollowingParams, World
+from .microsim import REAL, WAITING_SPEED, CarFollowingParams, World
 from .msgplane import FeatureSample, emit_bsm, sample_features
 from .neuralnet import TrainingConfig
 from .roadnet import GeometryConfig, Heading, build_arterial_network
 from .svgplot import ChartStyle, Series, render_svg
 
 OUTPUT_ROOT_ENV = "ATSCLAB_OUT"
+_POLICY_KINDS = {"fixed_rate": FixedRatePolicy, "controller_aware": ControllerAwarePolicy}
 
 
 def fmt(x: float) -> str:
@@ -62,8 +64,8 @@ class ScenarioConfig:
     log_trajectories: bool = False
 
     def validate(self) -> None:
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        if self.dt <= 0 or not (1.0 / self.dt).is_integer():   # keeps the 1 s grid
+            raise ConfigError(f"dt={self.dt} must divide 1 s into whole steps")
         if self.warmup < 0 or self.cooldown < 0:
             raise ConfigError("warm-up and cool-down must be non-negative")
         if self.warmup + self.cooldown >= self.duration:
@@ -84,38 +86,17 @@ class ScenarioConfig:
         if self.attack is not None:
             d["attack"]["mode"] = self.attack.mode.value
             d["attack"]["policy"] = {
-                "kind": ("fixed_rate" if isinstance(self.attack.policy, FixedRatePolicy)
-                         else "controller_aware"),
+                "kind": next(k for k, c in _POLICY_KINDS.items()
+                             if isinstance(self.attack.policy, c)),
                 **asdict(self.attack.policy),
             }
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        d = dict(d)
-        if "geometry" in d:
-            d["geometry"] = GeometryConfig(**d["geometry"])
-        if "car_following" in d:
-            d["car_following"] = CarFollowingParams(**d["car_following"])
-        if d.get("attack") is not None:
-            a = dict(d["attack"])
-            a["mode"] = AttackMode(a.get("mode", "physical"))
-            pol = a.get("policy")
-            if isinstance(pol, dict):
-                pol = dict(pol)
-                kind = pol.pop("kind", "controller_aware")
-                a["policy"] = (FixedRatePolicy(**pol) if kind == "fixed_rate"
-                               else ControllerAwarePolicy(**pol))
-            d["attack"] = AttackConfig(**a)
-        if "detector" in d:
-            det = dict(d["detector"])
-            if "training" in det:
-                det["training"] = TrainingConfig(**det["training"])
-            d["detector"] = DetectorSettings(**det)
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
+        if isinstance(d, dict) and d.get("attack") is not None:
+            d = {**d, "attack": _attack_from_dict(d["attack"])}
+        return _from_dict(cls, d, "config")
 
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
@@ -128,6 +109,54 @@ class ScenarioConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _from_dict(cls, d, where: str):
+    """Build config dataclass `cls` from a parsed JSON object; a nested object
+    becomes the class of its field's default, a string an enum member.
+
+    Unknown keys, and values whose type differs from the field default's, are
+    ConfigErrors rather than a TypeError at construction or later in the run.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
+    defaults = {f.name: f.default if f.default is not MISSING else f.default_factory()
+                for f in fields(cls)}
+    unknown = set(d) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    kwargs = dict(d)
+    for key, value in d.items():
+        default = defaults[key]
+        if is_dataclass(default) and isinstance(value, dict):
+            kwargs[key] = _from_dict(type(default), value, f"{where}.{key}")
+        elif isinstance(default, Enum) and value in [m.value for m in type(default)]:
+            kwargs[key] = type(default)(value)
+        elif isinstance(default, Enum) or not _same_type(value, default):
+            raise ConfigError(f"{where}.{key} must be {type(default).__name__}, "
+                              f"got {value!r}")
+    return cls(**kwargs)
+
+
+def _attack_from_dict(a) -> AttackConfig:
+    if isinstance(a, dict) and "policy" in a:
+        pol = a["policy"]
+        kind = pol.get("kind", "controller_aware") if isinstance(pol, dict) else None
+        if not isinstance(kind, str) or kind not in _POLICY_KINDS:
+            raise ConfigError(f"unknown attack policy {pol!r}")
+        a = {**a, "policy": _from_dict(_POLICY_KINDS[kind],
+                                       {k: v for k, v in pol.items() if k != "kind"},
+                                       "attack.policy")}
+    return _from_dict(AttackConfig, a, "attack")
+
+
+_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str, dict: dict}
+
+
+def _same_type(value, default) -> bool:
+    """JSON scalars match the default's type; an int may stand for a float."""
+    want = _JSON_TYPES.get(type(default), object)
+    return isinstance(value, want) and isinstance(value, bool) == isinstance(default, bool)
 
 
 @dataclass
@@ -157,9 +186,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
     """Execute the full closed loop and write every artifact under `out_dir`."""
     cfg.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     net = build_arterial_network(cfg.geometry)
     world = World(net, cfg.car_following, cfg.demand_vph, cfg.turn_split,
                   seed=cfg.seed, dt=cfg.dt,
@@ -167,14 +193,19 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
     controllers = {n: atsc.SignalController(n) for n in net.signalized_nodes}
     row_map = {n: frozenset() for n in controllers}
 
-    attacker = None
-    attack_start_abs = None
-    if cfg.attack is not None:
-        attacker = SlowPoisoningAttacker(cfg.attack, net, cfg.car_following,
-                                         start_offset=cfg.analysis_start)
-        attack_start_abs = attacker.start_abs
+    attacker = (SlowPoisoningAttacker(cfg.attack, net, cfg.car_following,
+                                      start_offset=cfg.analysis_start)
+                if cfg.attack is not None else None)
+    attack_start_abs = attacker.start_abs if attacker is not None else None
+    out = Path(out_dir)       # made once every config check has passed
+    out.mkdir(parents=True, exist_ok=True)
 
     eb_edges = set(net.approach(net.subject_node, Heading.EAST).edges)
+    feeders = msgplane.feeder_streams(net)
+    # overlay threat model: under a phantom attack the deployed controller
+    # keeps acting on genuine telemetry; fakes exist only in the
+    # logged/monitored stream
+    phantom = cfg.attack is not None and cfg.attack.mode is AttackMode.PHANTOM
 
     samples: list[FeatureSample] = []
     phase_rows: list[list[str]] = []
@@ -184,7 +215,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
     last_sample: FeatureSample | None = None
 
     steps = int(round(cfg.duration / cfg.dt))
-    sample_every = max(1, int(round(1.0 / cfg.dt)))
+    sample_every = int(1.0 / cfg.dt)      # a whole number: see validate()
     for k in range(1, steps + 1):
         t = k * cfg.dt
         world.step(row_map)
@@ -193,35 +224,28 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
         if in_analysis:
             for v in world.vehicles.values():
                 if (v.provenance == REAL and v.edge_id in eb_edges
-                        and v.speed <= 0.1):
+                        and v.speed <= WAITING_SPEED):
                     eb_real_waiting += cfg.dt
 
-        if attacker is not None:
-            if cfg.attack.mode is AttackMode.PHYSICAL:
-                attacker.on_second_physical(t, world, last_sample)
-            else:
-                attacker.on_second_phantom(t, world, last_sample, row_map)
+        if phantom:
+            attacker.on_second_phantom(t, world, last_sample, row_map)
+        elif attacker is not None:
+            attacker.on_second_physical(t, world, last_sample)
 
         if k % sample_every:
             continue  # telemetry and control run on the 1 s grid
 
         real_records = [emit_bsm(v, t) for v in
                         sorted(world.vehicles.values(), key=lambda v: v.vid)]
-        records = list(real_records)
-        if attacker is not None and cfg.attack.mode is AttackMode.PHANTOM:
-            records += attacker.fake_bsms(t)
+        records = real_records + attacker.fake_bsms(t) if phantom else real_records
+        stats = msgplane.node_stream_stats(records, net, t)
         attack_active = attack_start_abs is not None and t >= attack_start_abs
-        sample = sample_features(records, net, t, attack_active=attack_active)
+        sample = sample_features(stats, net, feeders, t, attack_active=attack_active)
         samples.append(sample)
         last_sample = sample
 
-        # overlay threat model: under a phantom attack the deployed controller
-        # keeps acting on genuine telemetry; fakes exist only in the
-        # logged/monitored stream
-        phantom = cfg.attack is not None and cfg.attack.mode is AttackMode.PHANTOM
-        control_records = real_records if phantom else records
-        control_stats = {n: msgplane.node_stream_stats(control_records, net, n)
-                         for n in controllers}
+        control_stats = (msgplane.node_stream_stats(real_records, net, t)
+                         if phantom else stats)
         for n, ctrl in controllers.items():
             row_map[n] = ctrl.tick(control_stats[n].movement_aawt(), t)
             rec = ctrl.record(t)
@@ -281,6 +305,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
                         eb_real_waiting=eb_real_waiting)
 
 
+def write_verdicts(path, spec: DetectorSpec, verdicts) -> None:
+    """The verdict CSV: one row per valid verdict, in replay order."""
+    _write_csv(path, ["t", "observed", "predicted", "abs_error", "threshold", "flagged"],
+               [[fmt(v.t), fmt(v.observed), fmt(v.predicted), fmt(v.abs_error),
+                 str(spec.threshold.effective), "1" if v.flagged else "0"]
+                for v in verdicts if v.valid])
+
+
 def load_feature_log(path) -> list[FeatureSample]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -289,8 +321,7 @@ def load_feature_log(path) -> list[FeatureSample]:
         except StopIteration:
             raise DataError(f"{path} is empty") from None
         rows = list(reader)
-    n_feeders = sum(1 for c in header if c.startswith("up_n_"))
-    return msgplane.parse_feature_rows(header, rows, n_feeders=n_feeders)
+    return msgplane.parse_feature_rows(header, rows)
 
 
 @dataclass
@@ -341,11 +372,7 @@ def run_experiment(cfg: ScenarioConfig, out_dir,
     reports = {}
     for mode, spec in specs.items():
         verdicts = detect(spec, attacked.analysis_samples, dt=1.0)
-        _write_csv(out / f"verdicts_{mode.value}.csv",
-                   ["t", "observed", "predicted", "abs_error", "threshold", "flagged"],
-                   [[fmt(v.t), fmt(v.observed), fmt(v.predicted), fmt(v.abs_error),
-                     str(spec.threshold.effective), "1" if v.flagged else "0"]
-                    for v in verdicts if v.valid])
+        write_verdicts(out / f"verdicts_{mode.value}.csv", spec, verdicts)
         reports[mode] = (verdicts, detection_report(
             verdicts, window_injects, attacked.attack_start_abs))
 

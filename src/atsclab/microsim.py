@@ -67,7 +67,6 @@ class Vehicle:
     length: float = 5.0
     min_gap: float = 2.5
     waiting: float = 0.0          # resetting waiting timer, s
-    cumulative_waiting: float = 0.0
 
     @property
     def edge_id(self) -> str:
@@ -87,7 +86,6 @@ def update_waiting(vehicle: Vehicle, dt: float, cumulative_mode: bool = False) -
     """
     if vehicle.speed <= WAITING_SPEED:
         vehicle.waiting += dt
-        vehicle.cumulative_waiting += dt
     elif not cumulative_mode:
         vehicle.waiting = 0.0
 
@@ -113,8 +111,11 @@ class World:
         self.params = params
         self.demand_vph = demand_vph
         self.turn_split = dict(turn_split or {"through": 0.70, "left": 0.15, "right": 0.15})
-        if abs(sum(self.turn_split.values()) - 1.0) > 1e-9:
-            raise ConfigError("turn split must sum to 1")
+        shares = self.turn_split.values()
+        if (set(self.turn_split) != {"through", "left", "right"}
+                or not all(isinstance(p, (int, float)) and p >= 0 for p in shares)
+                or abs(sum(shares) - 1.0) > 1e-9):
+            raise ConfigError("turn split needs through/left/right shares >= 0 summing to 1")
         self.dt = dt
         self.cumulative_waiting_mode = cumulative_waiting_mode
         self.rng = np.random.default_rng(seed)

@@ -4,16 +4,19 @@ makes it the attack surface — fake records are indistinguishable from real one
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from .atsc import compute_aawt
 from .errors import DataError
 from .microsim import Vehicle
-from .roadnet import (Approach, Heading, Movement, MOVEMENT_ORDER, RightTurn,
+from .roadnet import (Heading, Movement, MOVEMENT_ORDER, RightTurn,
                       RoadNetwork, Stream, through_movement_of, upstream_feeders)
 
 APPROACH_LABELS = ("EB", "WB", "NB", "SB")
-_HEADING_OF_LABEL = {"EB": Heading.EAST, "WB": Heading.WEST,
-                     "NB": Heading.NORTH, "SB": Heading.SOUTH}
+_STREAMS = (*Movement, *RightTurn)
+# each approach's streams in aggregation order, e.g. EBL, EBT, EBR
+_APPROACH_STREAMS = {a: tuple(s for s in _STREAMS if s.value[:2] == a)
+                     for a in APPROACH_LABELS}
 
 
 @dataclass(frozen=True)
@@ -42,64 +45,61 @@ def emit_bsm(vehicle: Vehicle, t: float) -> BsmRecord:
 @dataclass
 class NodeStreamStats:
     """Per-turn-stream vehicle counts and waiting-time sums at one node."""
-    node: str
-    counts: dict[Stream, int]
-    awt: dict[Stream, float]
+    counts: dict[Stream, int] = field(default_factory=lambda: dict.fromkeys(_STREAMS, 0))
+    awt: dict[Stream, float] = field(default_factory=lambda: dict.fromkeys(_STREAMS, 0.0))
 
     def movement_counts(self) -> dict[Movement, int]:
-        """Counts per signal movement; right-turners ride with their through phase."""
-        out = {m: self.counts[m] for m in MOVEMENT_ORDER}
-        for r in RightTurn:
-            out[through_movement_of(r.approach)] += self.counts[r]
-        return out
+        return _per_movement(self.counts)
 
     def movement_awt(self) -> dict[Movement, float]:
-        out = {m: self.awt[m] for m in MOVEMENT_ORDER}
-        for r in RightTurn:
-            out[through_movement_of(r.approach)] += self.awt[r]
-        return out
+        return _per_movement(self.awt)
 
     def movement_aawt(self) -> dict[Movement, float]:
         counts = self.movement_counts()
         awt = self.movement_awt()
-        return {m: (awt[m] / counts[m] if counts[m] > 0 else 0.0) for m in MOVEMENT_ORDER}
-
-    def approach_count(self, label: str) -> int:
-        h = _HEADING_OF_LABEL[label]
-        return sum(n for s, n in self.counts.items() if s.approach is h)
-
-    def approach_awt(self, label: str) -> float:
-        h = _HEADING_OF_LABEL[label]
-        return sum(w for s, w in self.awt.items() if s.approach is h)
+        return {m: compute_aawt(awt[m], counts[m]) for m in MOVEMENT_ORDER}
 
     def approach_aawt(self, label: str) -> float:
-        n = self.approach_count(label)
-        return self.approach_awt(label) / n if n > 0 else 0.0
+        # sums in stream order (EBL, EBT, EBR), not the through fold of
+        # _per_movement: logged values are compared bit for bit
+        streams = _APPROACH_STREAMS[label]
+        return compute_aawt(sum(self.awt[s] for s in streams),
+                            sum(self.counts[s] for s in streams))
+
+
+def _per_movement(per_stream: dict) -> dict:
+    """Per signal movement; right-turners ride with their through phase."""
+    out = {m: per_stream[m] for m in MOVEMENT_ORDER}
+    for r in RightTurn:
+        out[through_movement_of(r.approach)] += per_stream[r]
+    return out
 
 
 def node_stream_stats(records: list[BsmRecord], net: RoadNetwork,
-                      node: str) -> NodeStreamStats:
-    """Aggregate a single second's records over the approaches of `node`."""
-    counts: dict[Stream, int] = {s: 0 for s in (*Movement, *RightTurn)}
-    awt: dict[Stream, float] = {s: 0.0 for s in (*Movement, *RightTurn)}
+                      t: float) -> dict[str, NodeStreamStats]:
+    """Aggregate one second's records over the approaches of every signalized
+    node in a single pass."""
+    stats = {n: NodeStreamStats() for n in net.signalized_nodes}
     for rec in records:
+        if rec.t != t:
+            raise DataError(f"record {rec.vehicle_id} at t={rec.t}, expected {t}")
         edge = net.edges.get(rec.edge_id)
         if edge is None:
             raise DataError(f"BSM {rec.vehicle_id}@{rec.t}: unknown edge {rec.edge_id!r}")
-        if edge.to != node:
-            continue
+        at = stats.get(edge.to)
+        if at is None:
+            continue      # past the last stop line, or towards an unsignalized node
         if not rec.next_edge:
             raise DataError(f"BSM {rec.vehicle_id}@{rec.t}: no turn intent on an approach")
         stream = net.stream_of(rec.edge_id, rec.next_edge)
-        counts[stream] += 1
-        awt[stream] += rec.waiting
-    return NodeStreamStats(node=node, counts=counts, awt=awt)
+        at.counts[stream] += 1
+        at.awt[stream] += rec.waiting
+    return stats
 
 
 def feeder_streams(net: RoadNetwork) -> tuple[tuple[str, Stream], ...]:
     """Canonically ordered upstream feeders of the subject EB approach."""
-    approach = net.approach(net.subject_node, Heading.EAST)
-    feeders = upstream_feeders(net, approach)
+    feeders = upstream_feeders(net, net.approach(net.subject_node, Heading.EAST))
     return tuple(sorted(feeders, key=lambda f: (f[0], f[1].value)))
 
 
@@ -128,36 +128,23 @@ class FeatureSample:
         return self.approach_aawt[0]
 
     def movement_aawt(self) -> dict[Movement, float]:
-        return {m: (self.movement_awt[i] / self.movement_counts[i]
-                    if self.movement_counts[i] > 0 else 0.0)
+        return {m: compute_aawt(self.movement_awt[i], self.movement_counts[i])
                 for i, m in enumerate(MOVEMENT_ORDER)}
 
 
-def sample_features(records: list[BsmRecord], net: RoadNetwork, t: float,
+def sample_features(stats: dict[str, NodeStreamStats], net: RoadNetwork,
+                    feeders: tuple[tuple[str, Stream], ...], t: float,
                     attack_active: bool = False) -> FeatureSample:
-    """Build the subject-centric per-second feature sample from one second's BSMs."""
-    for rec in records:
-        if rec.t != t:
-            raise DataError(f"record {rec.vehicle_id} at t={rec.t}, expected {t}")
-    subject = node_stream_stats(records, net, net.subject_node)
-    feeders = feeder_streams(net)
-    up_counts: list[int] = []
-    up_awt: list[float] = []
-    if feeders:
-        up_node = feeders[0][0]
-        up = node_stream_stats(records, net, up_node)
-        for _, stream in feeders:
-            up_counts.append(up.counts[stream])
-            up_awt.append(up.awt[stream])
-    mcounts = subject.movement_counts()
-    mawt = subject.movement_awt()
+    """Build the subject-centric per-second feature sample from one second's
+    aggregate (`node_stream_stats`); `feeders` is `feeder_streams(net)`."""
+    subject = stats[net.subject_node]
     return FeatureSample(
         t=t,
-        movement_counts=tuple(mcounts[m] for m in MOVEMENT_ORDER),
-        movement_awt=tuple(mawt[m] for m in MOVEMENT_ORDER),
+        movement_counts=tuple(subject.movement_counts().values()),   # MOVEMENT_ORDER
+        movement_awt=tuple(subject.movement_awt().values()),
         approach_aawt=tuple(subject.approach_aawt(a) for a in APPROACH_LABELS),
-        upstream_counts=tuple(up_counts),
-        upstream_awt=tuple(up_awt),
+        upstream_counts=tuple(stats[n].counts[s] for n, s in feeders),
+        upstream_awt=tuple(stats[n].awt[s] for n, s in feeders),
         attack_active=attack_active,
     )
 
@@ -167,10 +154,8 @@ def feature_header(net: RoadNetwork) -> list[str]:
     cols += [f"n_{m.value}" for m in MOVEMENT_ORDER]
     cols += [f"awt_{m.value}" for m in MOVEMENT_ORDER]
     cols += [f"aawt_{a}" for a in APPROACH_LABELS]
-    for node, stream in feeder_streams(net):
-        cols.append(f"up_n_{node}_{stream.value}")
-    for node, stream in feeder_streams(net):
-        cols.append(f"up_awt_{node}_{stream.value}")
+    cols += [f"up_n_{node}_{stream.value}" for node, stream in feeder_streams(net)]
+    cols += [f"up_awt_{node}_{stream.value}" for node, stream in feeder_streams(net)]
     cols.append("attack")
     return cols
 
@@ -186,9 +171,9 @@ def feature_row(sample: FeatureSample, float_fmt) -> list[str]:
     return row
 
 
-def parse_feature_rows(header: list[str], rows: list[list[str]],
-                       n_feeders: int = 3) -> list[FeatureSample]:
+def parse_feature_rows(header: list[str], rows: list[list[str]]) -> list[FeatureSample]:
     """Inverse of feature_row for the fixed column layout."""
+    n_feeders = sum(1 for c in header if c.startswith("up_n_"))
     expected = 1 + 8 + 8 + 4 + 2 * n_feeders + 1
     if len(header) != expected:
         raise DataError(f"feature log has {len(header)} columns, expected {expected}")

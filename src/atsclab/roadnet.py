@@ -32,10 +32,6 @@ class Heading(Enum):
         return _REVERSE[self]
 
     @property
-    def vector(self) -> tuple[int, int]:
-        return _VECTOR[self]
-
-    @property
     def approach_label(self) -> str:
         """Approach name by travel direction, e.g. EAST -> 'EB'."""
         return {"N": "NB", "E": "EB", "S": "SB", "W": "WB"}[self.value]
@@ -46,8 +42,6 @@ _LEFT = {Heading.EAST: Heading.NORTH, Heading.NORTH: Heading.WEST,
 _RIGHT = {v: k for k, v in _LEFT.items()}
 _REVERSE = {Heading.EAST: Heading.WEST, Heading.WEST: Heading.EAST,
             Heading.NORTH: Heading.SOUTH, Heading.SOUTH: Heading.NORTH}
-_VECTOR = {Heading.EAST: (1, 0), Heading.WEST: (-1, 0),
-           Heading.NORTH: (0, 1), Heading.SOUTH: (0, -1)}
 
 
 class Movement(Enum):
@@ -66,8 +60,7 @@ class Movement(Enum):
 
     @property
     def approach(self) -> Heading:
-        return {"EB": Heading.EAST, "WB": Heading.WEST,
-                "NB": Heading.NORTH, "SB": Heading.SOUTH}[self.value[:2]]
+        return Heading(self.value[0])      # EBL -> "E"
 
     @property
     def is_through(self) -> bool:
@@ -83,8 +76,7 @@ class RightTurn(Enum):
 
     @property
     def approach(self) -> Heading:
-        return {"EB": Heading.EAST, "WB": Heading.WEST,
-                "NB": Heading.NORTH, "SB": Heading.SOUTH}[self.value[:2]]
+        return Heading(self.value[0])      # EBR -> "E"
 
 
 Stream = Movement | RightTurn
@@ -252,13 +244,6 @@ class RoadNetwork:
     @property
     def signalized_nodes(self) -> list[str]:
         return [nid for nid, n in self.nodes.items() if n.signalized]
-
-
-def movement_of(net: RoadNetwork, in_edge: str, out_edge: str) -> Stream:
-    """Compass classification of a connection into a Movement or RightTurn."""
-    if (in_edge, out_edge) not in net._conn_index:
-        raise DataError(f"no connection {in_edge} -> {out_edge}")
-    return stream_for_headings(net.edges[in_edge].heading, net.edges[out_edge].heading)
 
 
 def upstream_feeders(net: RoadNetwork, approach: Approach) -> set[tuple[str, Stream]]:

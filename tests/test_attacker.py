@@ -5,7 +5,8 @@ from atsclab.attacker import (AttackConfig, AttackMode, ControllerAwarePolicy,
                               _MergedVehicle, can_insert, injection_warranted)
 from atsclab.errors import ConfigError
 from atsclab.microsim import CarFollowingParams, World
-from atsclab.msgplane import BsmRecord, sample_features
+from atsclab.msgplane import (BsmRecord, feeder_streams, node_stream_stats,
+                              sample_features)
 from atsclab.roadnet import build_arterial_network
 
 
@@ -30,7 +31,8 @@ def eb_sample(net, t, n_eb=3, waiting_each=10.0, other=0.0):
                          "I1_out_E") for i in range(n_eb)]
     records.append(BsmRecord(t, "w0", "I1_in_W", 250.0, 0.0, other,
                              "link_I1_I0_W"))
-    return sample_features(records, net, t)
+    return sample_features(node_stream_stats(records, net, t), net,
+                           feeder_streams(net), t)
 
 
 # -- can_insert --------------------------------------------------------------
@@ -83,6 +85,19 @@ def test_bad_caps_rejected():
         AttackConfig(max_concurrent=0)
     with pytest.raises(ConfigError):
         AttackConfig(min_headway=0.0)
+
+
+def test_zero_rate_means_never_inject(net):
+    for policy in (FixedRatePolicy(rate_vph=0.0), ControllerAwarePolicy(max_rate_vph=0.0)):
+        cfg = AttackConfig(start=0.0, mode=AttackMode.PHANTOM, policy=policy)
+        atk = SlowPoisoningAttacker(cfg, net, PARAMS)
+        world = World(net, PARAMS, 0.0, None, seed=1)
+        red = {n: frozenset() for n in net.signalized_nodes}
+        for t in range(0, 30):
+            atk.on_second_phantom(float(t), world, eb_sample(net, float(t)), red)
+        assert atk.phantoms == [] and atk.events == []
+    with pytest.raises(ConfigError):
+        AttackConfig(policy=FixedRatePolicy(rate_vph=-1.0))
 
 
 def test_non_eb_target_rejected(net):

@@ -276,6 +276,21 @@ def test_save_load_round_trip(tmp_path, fitted):
     assert v1 == v2
 
 
+def test_load_rejects_truncated_or_incomplete_checkpoint(tmp_path, fitted):
+    _, spec, _, _ = fitted
+    full = tmp_path / "full.npz"
+    save_detector(spec, full)
+    truncated = tmp_path / "truncated.npz"
+    truncated.write_bytes(full.read_bytes()[:full.stat().st_size // 2])
+    with np.load(full, allow_pickle=False) as data:
+        arrays = {k: data[k] for k in data.files if k != "feat_max"}
+    incomplete = tmp_path / "incomplete.npz"
+    np.savez(incomplete, **arrays)
+    for path in (truncated, incomplete, tmp_path / "missing.npz"):
+        with pytest.raises(DataError):
+            load_detector(path)
+
+
 def test_load_rejects_bad_version(tmp_path, fitted):
     import json
 

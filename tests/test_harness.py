@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -26,6 +27,37 @@ def test_config_validation():
         short_cfg(dt=0.0).validate()
     with pytest.raises(ConfigError):
         short_cfg(warmup=500.0, cooldown=500.0).validate()
+
+
+def test_dt_must_divide_the_one_second_grid():
+    for dt in (0.3, 0.7, 2.0):
+        with pytest.raises(ConfigError):
+            short_cfg(dt=dt).validate()
+    for dt in (1.0, 0.5, 0.25, 0.1):
+        short_cfg(dt=dt).validate()
+
+
+@pytest.mark.parametrize("bad", [
+    {"geometry": {"bogus": 1}},
+    {"car_following": {"max_accel": "fast"}},
+    {"duration": "x"},
+    {"turn_split": {"through": "x", "left": 0.15, "right": 0.15}},
+    {"turn_split": {"straight": 0.7, "left": 0.15, "right": 0.15}},
+    {"geometry": {"intersections": 0}},
+    {"log_bsm": "yes"},
+    {"detector": {"training": {"epochs": 2.5}}},
+    {"attack": {"policy": {"kind": "bogus"}}},
+    {"attack": {"policy": {"kind": "fixed_rate", "max_rate_vph": 10.0}}},
+    {"attack": {"mode": "teleport"}},
+    {"attack": "physical"},
+])
+def test_malformed_config_exits_2(tmp_path, capsys, bad):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**short_cfg().to_dict(), **bad}))
+    assert cli_main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_json_round_trip(tmp_path):
@@ -135,6 +167,42 @@ def test_phantom_attack_leaves_real_world_untouched(tmp_path):
     assert free.feature_log.read_bytes() != atk.feature_log.read_bytes()
 
 
+# Artifact digests of short default scenarios (seed 42, attack from t=1000 s),
+# recorded before the per-second aggregation was reduced to a single pass; any
+# refactor of the closed loop must leave these bytes unchanged.
+GOLDEN = {
+    "free": {
+        "features.csv": "5f5d5bfb5fdf34ab60fa101617b65690a03c77c2019ad1f846cbb715c710613f",
+        "phases.csv": "1eb44c6e49163b07acb857d62f4c8139fc390fb3fd433d5d068c627047cd0866",
+        "attack.csv": "9660057a7c027de3a4f333b3745e63cbb692a6432c3b30845b9fa23471027307",
+        "manifest.json": "8d48dfb2e5bf0c210d9e2f45f652ba48274f08b39eb5688dea58ee38e86b78b5",
+    },
+    "physical": {
+        "features.csv": "e95933ab413d4af3d193c7afa2270ea7b9816d49a0ee4845180e2b7037040f81",
+        "phases.csv": "c2b0f9ba40215f7f5308b01678bd145648671bdb2bbe77e759de2b6790848e12",
+        "attack.csv": "d8e6b17c2882c0406d032660f3b89ac787489aae176b87a64e4fa13f9a190246",
+        "manifest.json": "2921efdf0d765ab9e258f054cd3a7cebbfd621ab2e73a90b7393ae322a6f3aba",
+    },
+    "phantom": {
+        "features.csv": "e9716d398c42ab7f2b965681adbc95fee160c4b4636b008a7fbe91a7e0172224",
+        # the controller acts on genuine telemetry only: same phases as free
+        "phases.csv": "1eb44c6e49163b07acb857d62f4c8139fc390fb3fd433d5d068c627047cd0866",
+        "attack.csv": "ee308253a69b43d6f85857701c9ca43061f10886d38de8eb7fb23901d9fd99af",
+        "manifest.json": "e43f3a1aced0a7da9ed9912e21f2408258c30266dfcddd2115eef6275a9d9559",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_artifacts_match_golden_digests(tmp_path, mode):
+    attack = None if mode == "free" else AttackConfig(mode=AttackMode(mode))
+    arts = run_scenario(ScenarioConfig(duration=1210.0, attack=attack), tmp_path)
+    assert (mode == "free") != bool(arts.inject_times)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN[mode]}
+    assert digests == GOLDEN[mode]
+
+
 # -- SVG ----------------------------------------------------------------------
 
 def test_svg_well_formed_with_legend_and_spans(tmp_path):
@@ -193,6 +261,23 @@ def test_cli_simulate_train_detect_plot(tmp_path, capsys):
                     "x": "t", "y": "abs_error"}]}))
     assert cli_main(["plot", "--spec", str(plot_spec)]) == 0
     assert (tmp_path / "plot.svg").exists()
+
+
+def test_cli_train_rejects_nonpositive_epochs(run_pair, tmp_path, capsys):
+    _, a, _ = run_pair
+    model = tmp_path / "m.npz"
+    for epochs in ("0", "-3"):
+        assert cli_main(["train", "--features", str(a.feature_log),
+                         "--epochs", epochs, "--out", str(model)]) == 2
+    assert not model.exists()
+
+
+def test_cli_detect_on_truncated_checkpoint_exits_3(run_pair, tmp_path, capsys):
+    _, a, _ = run_pair
+    model = tmp_path / "m.npz"
+    model.write_bytes(b"PK\x03\x04 truncated")
+    assert cli_main(["detect", "--model", str(model), "--features",
+                     str(a.feature_log), "--out", str(tmp_path / "v.csv")]) == 3
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

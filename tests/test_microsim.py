@@ -56,10 +56,9 @@ def test_safe_speed_never_negative(v, vl, gap):
 
 # -- update_waiting ----------------------------------------------------------
 
-def vehicle(speed, waiting=0.0, cumulative=0.0):
+def vehicle(speed, waiting=0.0):
     return Vehicle(vid="v1", provenance="real", route=["I0_in_E"], route_index=0,
-                   lane=0, pos=0.0, speed=speed, entry_time=0.0,
-                   waiting=waiting, cumulative_waiting=cumulative)
+                   lane=0, pos=0.0, speed=speed, entry_time=0.0, waiting=waiting)
 
 
 def test_waiting_accrues_below_threshold():
@@ -67,7 +66,6 @@ def test_waiting_accrues_below_threshold():
     for _ in range(3):
         update_waiting(v, 1.0)
     assert v.waiting == 3.0
-    assert v.cumulative_waiting == 3.0
 
 
 def test_waiting_threshold_is_inclusive():
@@ -77,14 +75,13 @@ def test_waiting_threshold_is_inclusive():
 
 
 def test_waiting_resets_on_movement_but_cumulative_persists():
-    v = vehicle(0.2, waiting=5.0, cumulative=5.0)
+    v = vehicle(0.2, waiting=5.0)
     update_waiting(v, 1.0)
     assert v.waiting == 0.0
-    assert v.cumulative_waiting == 5.0
 
 
 def test_cumulative_mode_never_resets():
-    v = vehicle(0.2, waiting=5.0, cumulative=5.0)
+    v = vehicle(0.2, waiting=5.0)
     update_waiting(v, 1.0, cumulative_mode=True)
     assert v.waiting == 5.0
 

@@ -1,5 +1,6 @@
 import pytest
 
+from atsclab.atsc import compute_aawt
 from atsclab.errors import DataError
 from atsclab.microsim import Vehicle
 from atsclab.msgplane import (BsmRecord, FeatureSample, emit_bsm, feature_header,
@@ -16,6 +17,11 @@ def net():
 def rec(t, vid, edge, nxt, waiting=0.0, pos=50.0, speed=0.0):
     return BsmRecord(t=t, vehicle_id=vid, edge_id=edge, lane_pos=pos,
                      speed=speed, waiting=waiting, next_edge=nxt)
+
+
+def sample(records, net, t, attack_active=False):
+    return sample_features(node_stream_stats(records, net, t), net,
+                           feeder_streams(net), t, attack_active=attack_active)
 
 
 def test_emit_bsm_copies_kinematics():
@@ -39,7 +45,7 @@ def test_fake_record_has_no_distinguishing_field():
 
 
 def test_empty_stream_gives_all_zero_sample(net):
-    s = sample_features([], net, 5.0)
+    s = sample([], net, 5.0)
     assert s.movement_counts == (0,) * 8
     assert s.movement_awt == (0.0,) * 8
     assert s.approach_aawt == (0.0,) * 4
@@ -49,7 +55,7 @@ def test_empty_stream_gives_all_zero_sample(net):
 def test_counts_and_awt_per_movement(net):
     records = [rec(1.0, f"v{i}", "link_I0_I1_E", "I1_out_E", waiting=w)
                for i, w in enumerate([10.0, 12.0, 8.0])]
-    s = sample_features(records, net, 1.0)
+    s = sample(records, net, 1.0)
     i_ebt = MOVEMENT_ORDER.index(Movement.EBT)
     assert s.movement_counts[i_ebt] == 3
     assert s.movement_awt[i_ebt] == 30.0
@@ -61,26 +67,35 @@ def test_fake_vehicle_inflates_count(net):
     records = [rec(1.0, f"v{i}", "link_I0_I1_E", "I1_out_E", waiting=10.0)
                for i in range(3)]
     records.append(rec(1.0, "x1", "link_I0_I1_E", "I1_out_E", waiting=0.0))
-    s = sample_features(records, net, 1.0)
+    s = sample(records, net, 1.0)
     assert s.eb_count == 4
     assert s.eb_aawt == pytest.approx(30.0 / 4)
 
 
 def test_unknown_edge_rejected(net):
     with pytest.raises(DataError):
-        sample_features([rec(1.0, "v0", "nowhere", "I1_out_E")], net, 1.0)
+        node_stream_stats([rec(1.0, "v0", "nowhere", "I1_out_E")], net, 1.0)
 
 
 def test_mixed_timestamps_rejected(net):
     records = [rec(1.0, "v0", "link_I0_I1_E", "I1_out_E"),
                rec(2.0, "v1", "link_I0_I1_E", "I1_out_E")]
     with pytest.raises(DataError):
-        sample_features(records, net, 1.0)
+        node_stream_stats(records, net, 1.0)
+
+
+def test_missing_turn_intent_rejected(net):
+    for edge in ("link_I0_I1_E", "I0_in_N"):     # an approach of each node
+        with pytest.raises(DataError):
+            node_stream_stats([rec(1.0, "v0", edge, "")], net, 1.0)
+    # past the last stop line no turn intent is needed, and nothing is counted
+    stats = node_stream_stats([rec(1.0, "v0", "I1_out_E", "")], net, 1.0)
+    assert all(sum(s.counts.values()) == 0 for s in stats.values())
 
 
 def test_right_turners_ride_with_through_movement(net):
     stats = node_stream_stats(
-        [rec(1.0, "v0", "I1_in_W", "I1_out_N", waiting=4.0)], net, "I1")
+        [rec(1.0, "v0", "I1_in_W", "I1_out_N", waiting=4.0)], net, 1.0)["I1"]
     mc = stats.movement_counts()
     assert mc[Movement.WBT] == 1
     assert stats.movement_awt()[Movement.WBT] == 4.0
@@ -95,7 +110,7 @@ def test_count_conservation(net):
         rec(1.0, "e", "I1_in_N", "link_I1_I0_W"),    # NB left
         rec(1.0, "f", "I0_in_E", "link_I0_I1_E"),    # on the upstream node
     ]
-    stats = node_stream_stats(records, net, "I1")
+    stats = node_stream_stats(records, net, 1.0)["I1"]
     on_subject = sum(1 for r in records if net.edges[r.edge_id].to == "I1")
     assert sum(stats.movement_counts().values()) == on_subject == 5
 
@@ -109,7 +124,7 @@ def test_upstream_features(net):
         rec(1.0, "c", "I0_in_S", "link_I0_I1_E", waiting=7.0),   # upstream SBL
         rec(1.0, "d", "I0_in_S", "I0_out_S", waiting=9.0),       # upstream SBT
     ]
-    s = sample_features(records, net, 1.0)
+    s = sample(records, net, 1.0)
     assert s.upstream_counts == (1, 1, 1)
     assert s.upstream_awt == (3.0, 2.0, 7.0)
 
@@ -124,7 +139,7 @@ def test_oracle_equivalence_against_brute_force(net):
         rec(9.0, "d", "I1_in_W", "I1_out_N", waiting=0.0),
         rec(9.0, "e", "I0_in_E", "link_I0_I1_E", waiting=4.0),
     ]
-    s = sample_features(records, net, 9.0)
+    s = sample(records, net, 9.0)
     for idx, m in enumerate(MOVEMENT_ORDER):
         count = 0
         awt = 0.0
@@ -145,9 +160,33 @@ def test_oracle_equivalence_against_brute_force(net):
 def test_feature_row_round_trip(net):
     records = [rec(3.0, "a", "link_I0_I1_E", "I1_out_E", waiting=5.0),
                rec(3.0, "b", "I0_in_E", "link_I0_I1_E", waiting=2.0)]
-    s = sample_features(records, net, 3.0, attack_active=True)
+    s = sample(records, net, 3.0, attack_active=True)
     header = feature_header(net)
     row = feature_row(s, lambda x: format(float(x), ".17g"))
     assert len(row) == len(header)
     back = parse_feature_rows(header, [row])[0]
     assert back == s
+
+
+def test_one_pass_aggregate_matches_per_node_loop(net):
+    # every stream of both signalized nodes, walked once per node with plain
+    # loops over the raw records
+    records = [rec(4.0, f"v{i}", c.in_edge, c.out_edge, waiting=0.5 * i)
+               for i, c in enumerate(net.connections * 2)]
+    records.append(rec(4.0, "gone", "I1_out_E", ""))
+    stats = node_stream_stats(records, net, 4.0)
+    assert sorted(stats) == sorted(net.signalized_nodes) == ["I0", "I1"]
+    for node in net.signalized_nodes:
+        for c in net.connections_into_node(node):
+            count = 0
+            awt = 0.0
+            for r in records:
+                if net.edges[r.edge_id].to == node and r.next_edge and \
+                        net.stream_of(r.edge_id, r.next_edge) is c.stream:
+                    count += 1
+                    awt += r.waiting
+            assert stats[node].counts[c.stream] == count
+            assert stats[node].awt[c.stream] == awt
+        aawt = stats[node].movement_aawt()
+        mc, mw = stats[node].movement_counts(), stats[node].movement_awt()
+        assert aawt == {m: compute_aawt(mw[m], mc[m]) for m in MOVEMENT_ORDER}

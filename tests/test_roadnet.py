@@ -2,8 +2,7 @@ import pytest
 
 from atsclab.errors import ConfigError, DataError
 from atsclab.roadnet import (GeometryConfig, Heading, MOVEMENT_ORDER, Movement,
-                             RightTurn, build_arterial_network, movement_of,
-                             upstream_feeders)
+                             RightTurn, build_arterial_network, upstream_feeders)
 
 
 @pytest.fixture(scope="module")
@@ -48,25 +47,25 @@ def test_connections_are_contiguous(net):
         assert net.edges[c.in_edge].to == net.edges[c.out_edge].frm
 
 
-def test_movement_of_compass_geometry(net):
+def test_stream_of_compass_geometry(net):
     # east-bound in-edge at I0
-    assert movement_of(net, "I0_in_E", "I0_out_N") is Movement.EBL
-    assert movement_of(net, "I0_in_E", "link_I0_I1_E") is Movement.EBT
-    assert movement_of(net, "I0_in_E", "I0_out_S") is RightTurn.EBR
+    assert net.stream_of("I0_in_E", "I0_out_N") is Movement.EBL
+    assert net.stream_of("I0_in_E", "link_I0_I1_E") is Movement.EBT
+    assert net.stream_of("I0_in_E", "I0_out_S") is RightTurn.EBR
 
 
-def test_movement_of_unknown_connection(net):
+def test_stream_of_unknown_connection(net):
     with pytest.raises(DataError):
-        movement_of(net, "I0_in_E", "I1_out_E")
+        net.stream_of("I0_in_E", "I1_out_E")
 
 
-def test_movement_of_partitions_streams(net):
+def test_stream_of_partitions_streams(net):
     for nid in net.signalized_nodes:
         conns = net.connections_into_node(nid)
         assert len(conns) == 12
         per_stream = {}
         for c in conns:
-            s = movement_of(net, c.in_edge, c.out_edge)
+            s = net.stream_of(c.in_edge, c.out_edge)
             assert s is c.stream
             per_stream.setdefault(s, []).append(c)
         assert len(per_stream) == 12
