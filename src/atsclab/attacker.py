@@ -3,9 +3,10 @@
 Two modes:
   * physical — fakes are inserted into the simulated world and really occupy
     the road;
-  * phantom  — fakes exist only in the message plane; the attacker advances
-    their kinematics itself against a merged (real + fake) position view so
-    every emitted record stays physically plausible.
+  * phantom  — fakes exist only in the message plane. `World.step_overlay`
+    steps them with the world's own car-following code, without dawdle, so
+    every emitted record stays physically plausible: they see real vehicles
+    as leaders, and real vehicles never see them.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from enum import Enum
 from typing import Mapping
 
 from .errors import ConfigError
-from .microsim import (FAKE, LOOKAHEAD, CarFollowingParams, Vehicle, World,
-                       krauss_safe_speed, update_waiting)
+from .microsim import (FAKE, THROUGH_LANE, CarFollowingParams, Vehicle, World,
+                       entry_cell_clear, entry_speed)
 from .msgplane import BsmRecord, FeatureSample
 from .roadnet import Heading, Movement, RoadNetwork, Stream
 
@@ -75,34 +76,15 @@ class AttackEvent:
     policy_state: str
 
 
-@dataclass
-class _MergedVehicle:
-    """Minimal kinematic view of one vehicle on the target corridor."""
-    vid: str
-    edge_id: str
-    pos: float
-    speed: float
-    length: float
-
-
-def can_insert(entry_edge_len: float, merged: list[_MergedVehicle],
-               initial_speed: float, params: CarFollowingParams) -> bool:
+def can_insert(lane: list[Vehicle], initial_speed: float,
+               params: CarFollowingParams) -> bool:
     """True iff the entry cell is clear and the insertion speed is safe.
 
-    `merged` holds every (real or fake) vehicle on the injection edge/lane.
+    `lane` holds every (real or fake) vehicle on the injection edge and lane,
+    front first, as `World.occupancy` lists them.
     """
-    cell = params.vehicle_length + params.min_gap
-    nearest = None
-    for w in merged:
-        if w.pos - w.length < cell:
-            return False
-        if nearest is None or w.pos < nearest.pos:
-            nearest = w
-    if nearest is not None:
-        gap = nearest.pos - nearest.length - params.min_gap
-        if krauss_safe_speed(initial_speed, nearest.speed, gap, params) < initial_speed:
-            return False
-    return True
+    return (entry_cell_clear(lane, params)
+            and entry_speed(lane, initial_speed, params) == initial_speed)
 
 
 def injection_warranted(policy: FixedRatePolicy | ControllerAwarePolicy,
@@ -166,6 +148,12 @@ class SlowPoisoningAttacker:
     def _initial_speed(self) -> float:
         return self.cfg.initial_speed_factor * self.net.edges[self.entry_edge].speed_limit
 
+    def _entry_clear(self, world: World) -> bool:
+        """Whether a fake may enter now, given real vehicles and phantoms
+        (there are none in physical mode, where fakes are in the world)."""
+        lane = world.occupancy(self.phantoms).get((self.entry_edge, THROUGH_LANE), [])
+        return can_insert(lane, self._initial_speed(), self.params)
+
     # -- physical mode -------------------------------------------------------
 
     def on_second_physical(self, t: float, world: World,
@@ -175,115 +163,37 @@ class SlowPoisoningAttacker:
             self._live_physical.discard(vid)
             self.events.append(AttackEvent(t, vid, "despawn", "physical", "exited"))
         ok, state = self._wants_injection(t, sample, len(self._live_physical))
-        if ok:
-            merged = [_MergedVehicle(v.vid, v.edge_id, v.pos, v.speed, v.length)
-                      for v in world.vehicles.values()
-                      if v.edge_id == self.entry_edge and v.lane == 0]
-            if can_insert(self.net.edges[self.entry_edge].length, merged,
-                          self._initial_speed(), self.params):
-                v = world.inject_vehicle(list(self.route), self._initial_speed())
-                self._live_physical.add(v.vid)
-                self.last_injection = t
-                self.events.append(AttackEvent(t, v.vid, "inject", "physical", state))
+        if ok and self._entry_clear(world):
+            v = world.inject_vehicle(list(self.route), self._initial_speed())
+            self._live_physical.add(v.vid)
+            self.last_injection = t
+            self.events.append(AttackEvent(t, v.vid, "inject", "physical", state))
 
     # -- phantom mode --------------------------------------------------------
 
     def on_second_phantom(self, t: float, world: World,
                           sample: FeatureSample | None,
                           row_map: Mapping[str, frozenset[Stream]]) -> None:
-        self.advance_fakes(world, row_map)
-        for v in [p for p in self.phantoms if p.route_index >= len(p.route)]:
-            self.phantoms.remove(v)
-            self.events.append(AttackEvent(t, v.vid, "despawn", "phantom", "exited"))
+        order = sorted(self.phantoms, key=lambda v: (v.route_index, -v.pos, v.vid))
+        gone = {v.vid for v in world.step_overlay(order, row_map)}
+        self.events += [AttackEvent(t, v.vid, "despawn", "phantom", "exited")
+                        for v in self.phantoms if v.vid in gone]
+        self.phantoms = [v for v in self.phantoms if v.vid not in gone]
         ok, state = self._wants_injection(t, sample, len(self.phantoms))
-        if ok:
-            merged = self._merged_view(world, self.entry_edge)
-            if can_insert(self.net.edges[self.entry_edge].length, merged,
-                          self._initial_speed(), self.params):
-                self._phantom_seq += 1
-                v = Vehicle(vid=f"x{self._phantom_seq:05d}", provenance=FAKE,
-                            route=list(self.route), route_index=0, lane=0,
-                            pos=0.0, speed=self._initial_speed(), entry_time=t,
-                            length=self.params.vehicle_length,
-                            min_gap=self.params.min_gap)
-                self.phantoms.append(v)
-                self.last_injection = t
-                self.events.append(AttackEvent(t, v.vid, "inject", "phantom", state))
-
-    def _merged_view(self, world: World, edge: str) -> list[_MergedVehicle]:
-        view = [_MergedVehicle(v.vid, v.edge_id, v.pos, v.speed, v.length)
-                for v in world.vehicles.values()
-                if v.edge_id == edge and v.lane == 0]
-        view += [_MergedVehicle(p.vid, p.edge_id, p.pos, p.speed, p.length)
-                 for p in self.phantoms
-                 if p.route_index < len(p.route) and p.edge_id == edge]
-        return view
-
-    def advance_fakes(self, world: World,
-                      row_map: Mapping[str, frozenset[Stream]]) -> None:
-        """Krauss update of phantom fakes against the merged position view.
-
-        Dawdle-free so that every emitted trajectory stays tightly within the
-        car-following feasibility bounds.
-        """
-        p = self.params
-        dt = world.dt
-        active = [v for v in self.phantoms if v.route_index < len(v.route)]
-        active.sort(key=lambda v: (v.route_index, -v.pos, v.vid))
-        for v in active:
-            edge = self.net.edges[v.edge_id]
-            v_next = min(v.speed + p.max_accel * dt, edge.speed_limit)
-            lead = self._leader(v, world, row_map)
-            if lead is not None:
-                v_next = min(v_next, krauss_safe_speed(v.speed, lead[0], lead[1], p))
-            v.speed = max(0.0, v_next)
-            v.pos += v.speed * dt
-            while v.route_index < len(v.route) and v.pos >= edge.length:
-                node = edge.to
-                if node is not None and self.net.nodes[node].signalized:
-                    stream = self.net.stream_of(v.edge_id, v.route[v.route_index + 1]) \
-                        if v.route_index + 1 < len(v.route) else None
-                    if stream is not None and stream not in row_map.get(node, frozenset()):
-                        v.pos = edge.length
-                        break
-                v.pos -= edge.length
-                v.route_index += 1
-                if v.route_index < len(v.route):
-                    edge = self.net.edges[v.edge_id]
-            if v.route_index < len(v.route):
-                update_waiting(v, dt)
-
-    def _leader(self, v: Vehicle, world: World,
-                row_map: Mapping[str, frozenset[Stream]]) -> tuple[float, float] | None:
-        merged = self._merged_view(world, v.edge_id)
-        ahead = [w for w in merged
-                 if w.vid != v.vid and (w.pos > v.pos or (w.pos == v.pos and w.vid < v.vid))]
-        if ahead:
-            w = min(ahead, key=lambda w: w.pos)
-            return w.speed, w.pos - w.length - v.pos - v.min_gap
-        edge = self.net.edges[v.edge_id]
-        dist_end = edge.length - v.pos
-        if dist_end > LOOKAHEAD or edge.to is None:
-            return None
-        nxt = v.route[v.route_index + 1] if v.route_index + 1 < len(v.route) else None
-        if nxt is None:
-            return 0.0, dist_end
-        stream = self.net.stream_of(v.edge_id, nxt)
-        if self.net.nodes[edge.to].signalized and stream not in row_map.get(edge.to, frozenset()):
-            return 0.0, dist_end
-        downstream = self._merged_view(world, nxt)
-        if downstream:
-            w = min(downstream, key=lambda w: w.pos)
-            return w.speed, dist_end + w.pos - w.length - v.min_gap
-        return None
+        if ok and self._entry_clear(world):
+            self._phantom_seq += 1
+            v = Vehicle(vid=f"x{self._phantom_seq:05d}", provenance=FAKE,
+                        route=list(self.route), route_index=0, lane=THROUGH_LANE,
+                        pos=0.0, speed=self._initial_speed(), entry_time=t,
+                        length=self.params.vehicle_length,
+                        min_gap=self.params.min_gap)
+            self.phantoms.append(v)
+            self.last_injection = t
+            self.events.append(AttackEvent(t, v.vid, "inject", "phantom", state))
 
     def fake_bsms(self, t: float) -> list[BsmRecord]:
         """Phantom fakes' broadcasts for the current second."""
-        out = []
-        for v in self.phantoms:
-            if v.route_index >= len(v.route):
-                continue
-            out.append(BsmRecord(t=t, vehicle_id=v.vid, edge_id=v.edge_id,
-                                 lane_pos=v.pos, speed=v.speed, waiting=v.waiting,
-                                 next_edge=v.next_edge_id or ""))
-        return out
+        return [BsmRecord(t=t, vehicle_id=v.vid, edge_id=v.edge_id,
+                          lane_pos=v.pos, speed=v.speed, waiting=v.waiting,
+                          next_edge=v.next_edge_id or "")
+                for v in self.phantoms]

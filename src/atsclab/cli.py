@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from .detector import FeatureMode, detect, load_detector, save_detector, train_detector
-from .errors import AtscLabError
+from .errors import AtscLabError, ConfigError, DataError
 from .harness import (ScenarioConfig, default_output_root, load_feature_log,
                       run_experiment, run_scenario, write_verdicts)
 from .svgplot import ChartStyle, Series, render_svg
@@ -61,20 +61,27 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    with open(args.spec) as fh:
-        spec = json.load(fh)
+    try:
+        with open(args.spec) as fh:
+            spec = json.load(fh)
+        entries = [(s["name"], s["csv"], s["x"], s["y"]) for s in spec["series"]]
+        out = spec["out"]
+        style = ChartStyle(title=spec.get("title", ""),
+                           xlabel=spec.get("xlabel", ""), ylabel=spec.get("ylabel", ""))
+        spans = [tuple(sp) for sp in spec.get("spans", [])]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"bad plot spec {args.spec}: {exc!r}") from exc
     series = []
-    for s in spec["series"]:
-        with open(s["csv"], newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        series.append(Series(s["name"],
-                             [float(r[s["x"]]) for r in rows],
-                             [float(r[s["y"]]) for r in rows]))
-    style = ChartStyle(title=spec.get("title", ""),
-                       xlabel=spec.get("xlabel", ""), ylabel=spec.get("ylabel", ""))
-    spans = [tuple(sp) for sp in spec.get("spans", [])]
-    render_svg(series, spec["out"], style, spans=spans)
-    print(f"wrote {spec['out']}")
+    for name, path, x, y in entries:
+        try:
+            with open(path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            series.append(Series(name, [float(r[x]) for r in rows],
+                                 [float(r[y]) for r in rows]))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"cannot read series {name!r} from {path}: {exc!r}") from exc
+    render_svg(series, out, style, spans=spans)
+    print(f"wrote {out}")
     return 0
 
 

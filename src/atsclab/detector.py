@@ -246,9 +246,10 @@ def load_detector(path) -> DetectorSpec:
             norm = NormalizationSpec(feat_min=data["feat_min"], feat_max=data["feat_max"],
                                      target_min=meta["target_min"],
                                      target_max=meta["target_max"])
+            return DetectorSpec(mode=FeatureMode(meta["mode"]), model=model, norm=norm,
+                                threshold=DetectionThreshold(
+                                    raw=meta["threshold_raw"],
+                                    effective=meta["threshold_effective"]),
+                                lookback=meta["lookback"])
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot read detector checkpoint {path}: {exc}") from exc
-    return DetectorSpec(mode=FeatureMode(meta["mode"]), model=model, norm=norm,
-                        threshold=DetectionThreshold(raw=meta["threshold_raw"],
-                                                     effective=meta["threshold_effective"]),
-                        lookback=meta["lookback"])

@@ -7,7 +7,9 @@ changing. Red/yellow signals act as a stationary virtual leader at the stop line
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -79,6 +81,28 @@ class Vehicle:
         return None
 
 
+def _front_first(v: Vehicle) -> tuple[float, str]:
+    return -v.pos, v.vid
+
+
+def entry_cell_clear(lane: Sequence[Vehicle], params: CarFollowingParams) -> bool:
+    """True iff no vehicle in `lane` has its rear within one cell (vehicle
+    length plus minimum gap) of the edge start."""
+    cell = params.vehicle_length + params.min_gap
+    return all(w.pos - w.length >= cell for w in lane)
+
+
+def entry_speed(lane: Sequence[Vehicle], speed: float,
+                params: CarFollowingParams) -> float:
+    """`speed` capped so that a vehicle entering `lane` (front first) can still
+    stop behind its rearmost vehicle."""
+    if not lane:
+        return speed
+    w = lane[-1]
+    gap = w.pos - w.length - params.min_gap
+    return min(speed, krauss_safe_speed(speed, w.speed, gap, params))
+
+
 def update_waiting(vehicle: Vehicle, dt: float, cumulative_mode: bool = False) -> None:
     """Accrue waiting at speeds <= 0.1 m/s (inclusive); reset the timer on movement.
 
@@ -143,13 +167,17 @@ class World:
             return POCKET_LANE
         return THROUGH_LANE
 
-    def occupancy(self) -> dict[tuple[str, int], list[Vehicle]]:
-        """Vehicles per (edge, lane), sorted front (largest pos) first."""
+    def occupancy(self, overlay: Iterable[Vehicle] = ()
+                  ) -> dict[tuple[str, int], list[Vehicle]]:
+        """Vehicles per (edge, lane), sorted front (largest pos) first.
+
+        `overlay` vehicles (phantoms) are listed beside the world's own.
+        """
         occ: dict[tuple[str, int], list[Vehicle]] = {}
-        for v in self.vehicles.values():
+        for v in chain(self.vehicles.values(), overlay):
             occ.setdefault((v.edge_id, v.lane), []).append(v)
         for vs in occ.values():
-            vs.sort(key=lambda v: (-v.pos, v.vid))
+            vs.sort(key=_front_first)
         return occ
 
     def stream_at_node(self, vehicle: Vehicle) -> Stream | None:
@@ -206,6 +234,42 @@ class World:
 
     # -- per-step dynamics ---------------------------------------------------
 
+    def _next_speed(self, v: Vehicle,
+                    occ: dict[tuple[str, int], list[Vehicle]],
+                    row_map: Mapping[str, frozenset[Stream]]) -> float:
+        """Speed for the coming step before dawdle: accelerate, cap at the
+        speed limit, then at the Krauss safe speed behind the leader."""
+        p = self.params
+        v_next = min(v.speed + p.max_accel * self.dt,
+                     self.net.edges[v.edge_id].speed_limit)
+        lead = self.leader_of(v, occ, row_map)
+        if lead is not None:
+            v_next = min(v_next, krauss_safe_speed(v.speed, lead[0], lead[1], p))
+        return v_next
+
+    def _move(self, v: Vehicle, row_map: Mapping[str, frozenset[Stream]]) -> bool:
+        """Advance `v` at its speed across edges; True once it leaves its route.
+
+        A vehicle without right of way is held at the stop line; one that
+        enters a new edge takes the lane of its next turn there.
+        """
+        v.pos += v.speed * self.dt
+        edge = self.net.edges[v.edge_id]
+        while v.pos >= edge.length:
+            if v.next_edge_id is None:
+                return True
+            node = edge.to
+            stream = self.stream_at_node(v)
+            if (node is not None and self.net.nodes[node].signalized
+                    and stream not in row_map.get(node, frozenset())):
+                v.pos = edge.length  # held at the stop line
+                return False
+            v.pos -= edge.length
+            v.route_index += 1
+            v.lane = self.lane_for(v.edge_id, v.next_edge_id)
+            edge = self.net.edges[v.edge_id]
+        return False
+
     def step(self, row_map: dict[str, frozenset[Stream]]) -> None:
         """Advance one timestep under the given per-node right-of-way map."""
         dt = self.dt
@@ -215,11 +279,7 @@ class World:
                        key=lambda v: (v.edge_id, v.lane, -v.pos, v.vid))
         new_speed: dict[str, float] = {}
         for v in order:
-            edge = self.net.edges[v.edge_id]
-            v_next = min(v.speed + p.max_accel * dt, edge.speed_limit)
-            lead = self.leader_of(v, occ, row_map)
-            if lead is not None:
-                v_next = min(v_next, krauss_safe_speed(v.speed, lead[0], lead[1], p))
+            v_next = self._next_speed(v, occ, row_map)
             if p.dawdle > 0:
                 eta = self.rng.random()
                 v_next -= p.dawdle * p.max_accel * eta * dt
@@ -228,30 +288,43 @@ class World:
         self.exited_this_step = []
         for v in order:
             v.speed = new_speed[v.vid]
-            v.pos += v.speed * dt
-            edge = self.net.edges[v.edge_id]
-            while v.pos >= edge.length:
-                if v.next_edge_id is None:
-                    self.exited += 1
-                    self.exited_this_step.append(v.vid)
-                    del self.vehicles[v.vid]
-                    break
-                node = edge.to
-                stream = self.stream_at_node(v)
-                if (node is not None and self.net.nodes[node].signalized
-                        and stream not in row_map.get(node, frozenset())):
-                    v.pos = edge.length  # held at the stop line
-                    break
-                v.pos -= edge.length
-                v.route_index += 1
-                v.lane = self.lane_for(v.edge_id, v.next_edge_id)
-                edge = self.net.edges[v.edge_id]
+            if self._move(v, row_map):
+                self.exited += 1
+                self.exited_this_step.append(v.vid)
+                del self.vehicles[v.vid]
 
         for v in self.vehicles.values():
             update_waiting(v, dt, self.cumulative_waiting_mode)
 
         self.clock += dt
         self.spawn_arrivals()
+
+    def step_overlay(self, overlay: list[Vehicle],
+                     row_map: Mapping[str, frozenset[Stream]]) -> list[Vehicle]:
+        """Step vehicles kept outside the world (phantoms); return those that
+        left their route.
+
+        They move one after another in the given order under the same
+        car-following rules as real vehicles, without dawdle, so nothing is
+        drawn from `rng`. Their leaders may be real or overlay vehicles; real
+        vehicles never see them, and the world itself is left unchanged.
+        """
+        occ = self.occupancy(overlay)
+        exited = []
+        for v in overlay:
+            v.speed = max(0.0, self._next_speed(v, occ, row_map))
+            key = (v.edge_id, v.lane)
+            occ[key] = [w for w in occ[key] if w is not v]
+            if self._move(v, row_map):
+                exited.append(v)
+                continue
+            # re-sorted even on the same edge: real vehicles ignore overlay
+            # ones, so an overlay vehicle can pass a real one within a step
+            lane = occ.setdefault((v.edge_id, v.lane), [])
+            lane.append(v)
+            lane.sort(key=_front_first)
+            update_waiting(v, self.dt, self.cumulative_waiting_mode)
+        return exited
 
     # -- demand --------------------------------------------------------------
 
@@ -272,32 +345,18 @@ class World:
                     break
         return route
 
-    def entry_cell_clear(self, edge: str, lane: int,
-                         occ: dict[tuple[str, int], list[Vehicle]] | None = None) -> bool:
-        occ = occ if occ is not None else self.occupancy()
-        cell = self.params.vehicle_length + self.params.min_gap
-        for w in occ.get((edge, lane), ()):
-            if w.pos - w.length < cell:
-                return False
-        return True
-
     def _insert(self, entry: str, route: list[str], lane: int,
                 occ: dict[tuple[str, int], list[Vehicle]],
                 provenance: str = REAL) -> Vehicle:
-        edge = self.net.edges[entry]
-        speed = edge.speed_limit
-        vs = occ.get((entry, lane), ())
-        if vs:
-            w = vs[-1]
-            gap = w.pos - w.length - self.params.min_gap
-            speed = min(speed, krauss_safe_speed(speed, w.speed, gap, self.params))
+        speed = entry_speed(occ.get((entry, lane), ()),
+                            self.net.edges[entry].speed_limit, self.params)
         v = Vehicle(vid=self._new_id(provenance), provenance=provenance,
                     route=route, route_index=0, lane=lane, pos=0.0,
                     speed=speed, entry_time=self.clock,
                     length=self.params.vehicle_length, min_gap=self.params.min_gap)
         self.vehicles[v.vid] = v
         occ.setdefault((entry, lane), []).append(v)
-        occ[(entry, lane)].sort(key=lambda x: (-x.pos, x.vid))
+        occ[(entry, lane)].sort(key=_front_first)
         self.entered += 1
         return v
 
@@ -309,13 +368,13 @@ class World:
             q = self.deferred[entry]
             if q:
                 head = q[0]
-                if self.entry_cell_clear(entry, head.lane, occ):
+                if entry_cell_clear(occ.get((entry, head.lane), ()), self.params):
                     q.popleft()
                     self._insert(entry, head.route, head.lane, occ)
             if lam > 0 and self.rng.random() < lam:
                 route = self.sample_route(entry)
                 lane = self.lane_for(entry, route[1] if len(route) > 1 else None)
-                if not q and self.entry_cell_clear(entry, lane, occ):
+                if not q and entry_cell_clear(occ.get((entry, lane), ()), self.params):
                     self._insert(entry, route, lane, occ)
                 else:
                     q.append(_Deferred(route=route, lane=lane))

@@ -1,10 +1,12 @@
+import re
+
 import pytest
 
 from atsclab.attacker import (AttackConfig, AttackMode, ControllerAwarePolicy,
                               FixedRatePolicy, SlowPoisoningAttacker,
-                              _MergedVehicle, can_insert, injection_warranted)
+                              can_insert, injection_warranted)
 from atsclab.errors import ConfigError
-from atsclab.microsim import CarFollowingParams, World
+from atsclab.microsim import WAITING_SPEED, CarFollowingParams, Vehicle, World
 from atsclab.msgplane import (BsmRecord, feeder_streams, node_stream_stats,
                               sample_features)
 from atsclab.roadnet import build_arterial_network
@@ -37,27 +39,30 @@ def eb_sample(net, t, n_eb=3, waiting_each=10.0, other=0.0):
 
 # -- can_insert --------------------------------------------------------------
 
+def lane_vehicle(pos, speed):
+    """A 5 m vehicle on the injection lane."""
+    return Vehicle(vid="a", provenance="real", route=["e"], route_index=0,
+                   lane=0, pos=pos, speed=speed, entry_time=0.0)
+
+
 def test_can_insert_empty_edge():
-    assert can_insert(300.0, [], 11.1, PARAMS)
+    assert can_insert([], 11.1, PARAMS)
 
 
 def test_can_insert_blocked_cell():
     # rear bumper of a 5 m vehicle at 7 m: tail at 2 m, inside the
     # 7.5 m entry cell, so the insertion is blocked
-    merged = [_MergedVehicle("a", "e", 7.0, 0.0, 5.0)]
-    assert not can_insert(300.0, merged, 11.1, PARAMS)
+    assert not can_insert([lane_vehicle(7.0, 0.0)], 11.1, PARAMS)
 
 
 def test_can_insert_clear_cell_but_unsafe_speed():
     # cell is clear (tail at 15 m) but a stopped leader that close makes the
     # desired entry speed unsafe
-    merged = [_MergedVehicle("a", "e", 20.0, 0.0, 5.0)]
-    assert not can_insert(300.0, merged, 11.1, PARAMS)
+    assert not can_insert([lane_vehicle(20.0, 0.0)], 11.1, PARAMS)
 
 
 def test_can_insert_far_leader_ok():
-    merged = [_MergedVehicle("a", "e", 250.0, 13.0, 5.0)]
-    assert can_insert(300.0, merged, 11.1, PARAMS)
+    assert can_insert([lane_vehicle(250.0, 13.0)], 11.1, PARAMS)
 
 
 # -- injection_warranted -----------------------------------------------------
@@ -197,6 +202,28 @@ def test_phantom_fakes_stop_at_red_and_accrue_waiting(net):
     assert front.pos == pytest.approx(edge_len)
     assert front.speed == 0.0
     assert front.waiting > 0.0
+
+
+def test_phantom_waiting_never_resets_in_cumulative_mode(net):
+    cfg = AttackConfig(start=0.0, mode=AttackMode.PHANTOM)
+    atk = SlowPoisoningAttacker(cfg, net, PARAMS)
+    world = World(net, PARAMS, 0.0, None, seed=1, cumulative_waiting_mode=True)
+    red = {n: frozenset() for n in net.signalized_nodes}
+    green = {n: frozenset(net.stream_of(c.in_edge, c.out_edge)
+                          for c in net.connections_into_node(n))
+             for n in net.signalized_nodes}
+    history: dict[str, list[tuple[float, float]]] = {}
+    for t in range(0, 200):
+        row = green if 120 <= t < 125 else red
+        atk.on_second_phantom(float(t), world, eb_sample(net, float(t)), row)
+        for v in atk.phantoms:
+            history.setdefault(v.vid, []).append((v.speed, v.waiting))
+    motion = ["".join("s" if speed <= WAITING_SPEED else "m" for speed, _ in h)
+              for h in history.values()]
+    assert any(re.search("s+m+s", m) for m in motion)   # stop, move, stop again
+    for h in history.values():
+        waits = [w for _, w in h]
+        assert waits == sorted(waits)
 
 
 def test_phantom_fakes_cross_on_green_and_despawn(net):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -286,7 +287,12 @@ def test_load_rejects_truncated_or_incomplete_checkpoint(tmp_path, fitted):
         arrays = {k: data[k] for k in data.files if k != "feat_max"}
     incomplete = tmp_path / "incomplete.npz"
     np.savez(incomplete, **arrays)
-    for path in (truncated, incomplete, tmp_path / "missing.npz"):
+    with np.load(full, allow_pickle=False) as data:
+        arrays = {k: data[k] for k in data.files}
+    bad_mode = tmp_path / "bad_mode.npz"
+    np.savez(bad_mode, **{**arrays, "meta": json.dumps(
+        {**json.loads(str(arrays["meta"])), "mode": "bogus"})})
+    for path in (truncated, incomplete, bad_mode, tmp_path / "missing.npz"):
         with pytest.raises(DataError):
             load_detector(path)
 

@@ -190,17 +190,27 @@ GOLDEN = {
         "attack.csv": "ee308253a69b43d6f85857701c9ca43061f10886d38de8eb7fb23901d9fd99af",
         "manifest.json": "e43f3a1aced0a7da9ed9912e21f2408258c30266dfcddd2115eef6275a9d9559",
     },
+    # "<mode>@<seconds>"; this run reaches t = 1269 s, where phantom x00019
+    # passes real vehicle r00321 and x00020 must then follow the nearer one
+    "phantom@1300": {
+        "features.csv": "d31bcf176080d6855e542efef97566c852cf02439cd53a8935e6213bf1c8db6f",
+        "phases.csv": "cffaccab4adadd588a5263d7493992660609d2408bc4cb0b68838bcb98187859",
+        "attack.csv": "96f59b0b736bf08e4889ea3a0e5fd03e4c9ca4094af5b1d5a84a848f12609d38",
+        "manifest.json": "a5db479bc8418dbd04d12458a43ad63492548c5857e6da1b0f949fb6822ea688",
+    },
 }
 
 
-@pytest.mark.parametrize("mode", sorted(GOLDEN))
-def test_artifacts_match_golden_digests(tmp_path, mode):
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_artifacts_match_golden_digests(tmp_path, case):
+    mode, _, seconds = case.partition("@")
     attack = None if mode == "free" else AttackConfig(mode=AttackMode(mode))
-    arts = run_scenario(ScenarioConfig(duration=1210.0, attack=attack), tmp_path)
+    arts = run_scenario(ScenarioConfig(duration=float(seconds or 1210), attack=attack),
+                        tmp_path)
     assert (mode == "free") != bool(arts.inject_times)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in GOLDEN[mode]}
-    assert digests == GOLDEN[mode]
+               for name in GOLDEN[case]}
+    assert digests == GOLDEN[case]
 
 
 # -- SVG ----------------------------------------------------------------------
@@ -288,6 +298,23 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     empty.write_text("")
     assert cli_main(["train", "--features", str(empty),
                      "--out", str(tmp_path / "m.npz")]) == 3
+    # plot: a bad spec -> ConfigError -> exit 2; an unreadable series CSV ->
+    # DataError -> exit 3
+    table = tmp_path / "t.csv"
+    table.write_text("t,y\n0,1\n1,2\n")
+    entry = {"name": "a", "csv": str(table), "x": "t", "y": "y"}
+    svg = str(tmp_path / "a.svg")
+    spec = tmp_path / "spec.json"
+    assert cli_main(["plot", "--spec", str(spec)]) == 2          # no spec file
+    for bad, code in [({"out": svg}, 2),
+                      ({"series": [entry]}, 2),
+                      ({"series": [{"name": "a", "csv": str(table), "y": "y"}],
+                        "out": svg}, 2),
+                      ({"series": [{**entry, "csv": str(tmp_path / "nope.csv")}],
+                        "out": svg}, 3),
+                      ({"series": [{**entry, "y": "speed"}], "out": svg}, 3)]:
+        spec.write_text(json.dumps(bad))
+        assert cli_main(["plot", "--spec", str(spec)]) == code, bad
 
 
 def test_console_script_entry_point():

@@ -218,6 +218,51 @@ def test_left_turners_use_pocket_lane(net):
     assert world.lane_for("I0_in_E", "I0_out_S") == 0       # right
 
 
+# -- overlay (phantom) stepping ------------------------------------------------
+
+EB_ROUTE = ["I0_in_E", "link_I0_I1_E", "I1_out_E"]
+
+
+def eb_vehicle(vid, pos, speed, provenance="real"):
+    return Vehicle(vid=vid, provenance=provenance, route=list(EB_ROUTE),
+                   route_index=0, lane=0, pos=pos, speed=speed, entry_time=0.0)
+
+
+def test_overlay_leader_is_nearest_after_an_overlay_vehicle_passes(net):
+    world = make_world(net, demand=0.0, sigma=0.0)
+    world.vehicles["r1"] = real = eb_vehicle("r1", 100.0, 13.0)
+    x1 = eb_vehicle("x1", 92.5, 13.0, "fake")   # zero net gap behind r1
+    x2 = eb_vehicle("x2", 85.0, 13.0, "fake")
+    assert world.step_overlay([x1, x2], all_red(net)) == []
+    # r1 has already moved this second, so x1's Krauss speed carries it past
+    assert x1.pos > real.pos
+    gap = real.pos - real.length - 85.0 - x2.min_gap
+    assert x2.speed == krauss_safe_speed(13.0, real.speed, gap, world.params)
+
+
+def test_overlay_is_invisible_to_real_vehicles(net):
+    def snapshot(world):
+        return (sorted((v.vid, v.edge_id, v.lane, v.pos, v.speed, v.waiting)
+                       for v in world.vehicles.values()),
+                world.entered, world.exited, world.clock,
+                world.rng.bit_generator.state)
+
+    plain = make_world(net, seed=5, demand=600.0)
+    seen = make_world(net, seed=5, demand=600.0)
+    overlay, left = [], 0
+    for t in range(300):
+        row = all_green(net) if (t // 30) % 2 else all_red(net)
+        plain.step(row)
+        seen.step(row)
+        if t % 5 == 0:
+            overlay.append(eb_vehicle(f"x{t:05d}", 0.0, 10.0, "fake"))
+        gone = seen.step_overlay(overlay, row)
+        left += len(gone)
+        overlay = [v for v in overlay if v not in gone]
+        assert snapshot(seen) == snapshot(plain)
+    assert left > 0 and overlay
+
+
 def test_route_sampling_reaches_an_exit(net):
     world = make_world(net, seed=4)
     for entry in net.entries:
