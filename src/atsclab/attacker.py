@@ -17,7 +17,7 @@ from typing import Mapping
 from .errors import ConfigError
 from .microsim import (FAKE, THROUGH_LANE, CarFollowingParams, Vehicle, World,
                        entry_cell_clear, entry_speed)
-from .msgplane import BsmRecord, FeatureSample
+from .msgplane import BsmRecord, FeatureSample, emit_bsm
 from .roadnet import Heading, Movement, RoadNetwork, Stream
 
 
@@ -106,8 +106,7 @@ class SlowPoisoningAttacker:
         self.net = net
         self.params = params
         self.start_abs = start_offset + cfg.start
-        approach = net.approach(net.subject_node, Heading.EAST)
-        self.entry_edge = approach.first_edge
+        self.entry_edge = net.approach_edge(net.subject_node, Heading.EAST)
         # straight through the subject, despawn one edge downstream
         conns = net.connections_from(self.entry_edge)
         through = next(c for c in conns
@@ -193,7 +192,4 @@ class SlowPoisoningAttacker:
 
     def fake_bsms(self, t: float) -> list[BsmRecord]:
         """Phantom fakes' broadcasts for the current second."""
-        return [BsmRecord(t=t, vehicle_id=v.vid, edge_id=v.edge_id,
-                          lane_pos=v.pos, speed=v.speed, waiting=v.waiting,
-                          next_edge=v.next_edge_id or "")
-                for v in self.phantoms]
+        return [emit_bsm(v, t) for v in self.phantoms]

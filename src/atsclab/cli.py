@@ -25,7 +25,14 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _check_out_dir(path) -> None:
+    """An output file's directory must exist before any work starts."""
+    if not Path(path).parent.is_dir():
+        raise ConfigError(f"output directory of {path} does not exist")
+
+
 def _cmd_train(args) -> int:
+    _check_out_dir(args.out)
     cfg = ScenarioConfig.from_json(args.config) if args.config else ScenarioConfig()
     samples = load_feature_log(args.features)
     window = [s for s in samples
@@ -43,6 +50,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    _check_out_dir(args.out)
     spec = load_detector(args.model)
     samples = load_feature_log(args.features)
     verdicts = detect(spec, samples)

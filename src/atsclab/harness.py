@@ -190,7 +190,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
     world = World(net, cfg.car_following, cfg.demand_vph, cfg.turn_split,
                   seed=cfg.seed, dt=cfg.dt,
                   cumulative_waiting_mode=cfg.cumulative_waiting)
-    controllers = {n: atsc.SignalController(n) for n in net.signalized_nodes}
+    controllers = {n: atsc.SignalController(n) for n in net.nodes}
     row_map = {n: frozenset() for n in controllers}
 
     attacker = (SlowPoisoningAttacker(cfg.attack, net, cfg.car_following,
@@ -200,7 +200,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
     out = Path(out_dir)       # made once every config check has passed
     out.mkdir(parents=True, exist_ok=True)
 
-    eb_edges = set(net.approach(net.subject_node, Heading.EAST).edges)
+    eb_edge = net.approach_edge(net.subject_node, Heading.EAST)
     feeders = msgplane.feeder_streams(net)
     # overlay threat model: under a phantom attack the deployed controller
     # keeps acting on genuine telemetry; fakes exist only in the
@@ -223,7 +223,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
         in_analysis = cfg.analysis_start <= t < cfg.analysis_end
         if in_analysis:
             for v in world.vehicles.values():
-                if (v.provenance == REAL and v.edge_id in eb_edges
+                if (v.provenance == REAL and v.edge_id == eb_edge
                         and v.speed <= WAITING_SPEED):
                     eb_real_waiting += cfg.dt
 
@@ -235,8 +235,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
         if k % sample_every:
             continue  # telemetry and control run on the 1 s grid
 
-        real_records = [emit_bsm(v, t) for v in
-                        sorted(world.vehicles.values(), key=lambda v: v.vid)]
+        vehicles = sorted(world.vehicles.values(), key=lambda v: v.vid)
+        real_records = [emit_bsm(v, t) for v in vehicles]
         records = real_records + attacker.fake_bsms(t) if phantom else real_records
         stats = msgplane.node_stream_stats(records, net, t)
         attack_active = attack_start_abs is not None and t >= attack_start_abs
@@ -258,7 +258,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
                 bsm_rows.append([fmt(r.t), r.vehicle_id, r.edge_id, fmt(r.lane_pos),
                                  fmt(r.speed), fmt(r.waiting), r.next_edge])
         if cfg.log_trajectories:
-            for v in sorted(world.vehicles.values(), key=lambda v: v.vid):
+            for v in vehicles:
                 if v.provenance == REAL:
                     traj_rows.append([fmt(t), v.vid, v.edge_id, str(v.lane),
                                       fmt(v.pos), fmt(v.speed)])
@@ -314,13 +314,15 @@ def write_verdicts(path, spec: DetectorSpec, verdicts) -> None:
 
 
 def load_feature_log(path) -> list[FeatureSample]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
-        rows = list(reader)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (OSError, ValueError, csv.Error) as exc:
+        raise DataError(f"cannot read feature log {path}: {exc}") from exc
+    if header is None:
+        raise DataError(f"{path} is empty")
     return msgplane.parse_feature_rows(header, rows)
 
 

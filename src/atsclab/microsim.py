@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .roadnet import Heading, Movement, RightTurn, RoadNetwork, Stream
+from .roadnet import Movement, RightTurn, RoadNetwork, Stream
 
 WAITING_SPEED = 0.1     # m/s; at or below this a vehicle accrues waiting time
 LOOKAHEAD = 100.0       # m; leader search horizon past the current position
@@ -149,7 +149,6 @@ class World:
         self.entered = 0
         self.exited = 0
         self._next_id = 0
-        self.exited_this_step: list[str] = []
 
     # -- helpers -------------------------------------------------------------
 
@@ -215,7 +214,7 @@ class World:
         stream = self.stream_at_node(vehicle)
         if stream is None:
             return 0.0, dist_end
-        if self.net.nodes[node].signalized and stream not in row_map.get(node, frozenset()):
+        if stream not in row_map.get(node, frozenset()):
             return 0.0, dist_end  # stationary virtual leader at the stop line
         nxt = vehicle.next_edge_id
         nxt_lane = self.lane_for(nxt, self._edge_after(vehicle, nxt))
@@ -258,10 +257,7 @@ class World:
         while v.pos >= edge.length:
             if v.next_edge_id is None:
                 return True
-            node = edge.to
-            stream = self.stream_at_node(v)
-            if (node is not None and self.net.nodes[node].signalized
-                    and stream not in row_map.get(node, frozenset())):
+            if self.stream_at_node(v) not in row_map.get(edge.to, frozenset()):
                 v.pos = edge.length  # held at the stop line
                 return False
             v.pos -= edge.length
@@ -285,12 +281,10 @@ class World:
                 v_next -= p.dawdle * p.max_accel * eta * dt
             new_speed[v.vid] = max(0.0, v_next)
 
-        self.exited_this_step = []
         for v in order:
             v.speed = new_speed[v.vid]
             if self._move(v, row_map):
                 self.exited += 1
-                self.exited_this_step.append(v.vid)
                 del self.vehicles[v.vid]
 
         for v in self.vehicles.values():
@@ -381,11 +375,11 @@ class World:
 
     # -- attacker-facing -----------------------------------------------------
 
-    def inject_vehicle(self, route: list[str], speed: float, vid: str | None = None) -> Vehicle:
+    def inject_vehicle(self, route: list[str], speed: float) -> Vehicle:
         """Place a fake vehicle at the start of `route[0]` (physical attack mode)."""
         entry = route[0]
         lane = self.lane_for(entry, route[1] if len(route) > 1 else None)
-        v = Vehicle(vid=vid or self._new_id(FAKE), provenance=FAKE,
+        v = Vehicle(vid=self._new_id(FAKE), provenance=FAKE,
                     route=route, route_index=0, lane=lane, pos=0.0, speed=speed,
                     entry_time=self.clock, length=self.params.vehicle_length,
                     min_gap=self.params.min_gap)

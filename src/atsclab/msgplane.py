@@ -77,9 +77,9 @@ def _per_movement(per_stream: dict) -> dict:
 
 def node_stream_stats(records: list[BsmRecord], net: RoadNetwork,
                       t: float) -> dict[str, NodeStreamStats]:
-    """Aggregate one second's records over the approaches of every signalized
-    node in a single pass."""
-    stats = {n: NodeStreamStats() for n in net.signalized_nodes}
+    """Aggregate one second's records over the approaches of every
+    intersection in a single pass."""
+    stats = {n: NodeStreamStats() for n in net.nodes}
     for rec in records:
         if rec.t != t:
             raise DataError(f"record {rec.vehicle_id} at t={rec.t}, expected {t}")
@@ -88,7 +88,7 @@ def node_stream_stats(records: list[BsmRecord], net: RoadNetwork,
             raise DataError(f"BSM {rec.vehicle_id}@{rec.t}: unknown edge {rec.edge_id!r}")
         at = stats.get(edge.to)
         if at is None:
-            continue      # past the last stop line, or towards an unsignalized node
+            continue      # on an exit edge, past the last stop line
         if not rec.next_edge:
             raise DataError(f"BSM {rec.vehicle_id}@{rec.t}: no turn intent on an approach")
         stream = net.stream_of(rec.edge_id, rec.next_edge)
@@ -99,7 +99,7 @@ def node_stream_stats(records: list[BsmRecord], net: RoadNetwork,
 
 def feeder_streams(net: RoadNetwork) -> tuple[tuple[str, Stream], ...]:
     """Canonically ordered upstream feeders of the subject EB approach."""
-    feeders = upstream_feeders(net, net.approach(net.subject_node, Heading.EAST))
+    feeders = upstream_feeders(net, net.approach_edge(net.subject_node, Heading.EAST))
     return tuple(sorted(feeders, key=lambda f: (f[0], f[1].value)))
 
 
@@ -178,16 +178,20 @@ def parse_feature_rows(header: list[str], rows: list[list[str]]) -> list[Feature
     if len(header) != expected:
         raise DataError(f"feature log has {len(header)} columns, expected {expected}")
     out = []
-    for r in rows:
+    for row_no, r in enumerate(rows, start=1):
         if len(r) != expected:
-            raise DataError(f"feature row with {len(r)} fields, expected {expected}")
+            raise DataError(f"feature row {row_no} has {len(r)} fields, expected {expected}")
         i = 1
-        counts = tuple(int(x) for x in r[i:i + 8]); i += 8
-        awt = tuple(float(x) for x in r[i:i + 8]); i += 8
-        aawt = tuple(float(x) for x in r[i:i + 4]); i += 4
-        ucounts = tuple(int(x) for x in r[i:i + n_feeders]); i += n_feeders
-        uawt = tuple(float(x) for x in r[i:i + n_feeders]); i += n_feeders
-        out.append(FeatureSample(t=float(r[0]), movement_counts=counts,
+        try:
+            counts = tuple(int(x) for x in r[i:i + 8]); i += 8
+            awt = tuple(float(x) for x in r[i:i + 8]); i += 8
+            aawt = tuple(float(x) for x in r[i:i + 4]); i += 4
+            ucounts = tuple(int(x) for x in r[i:i + n_feeders]); i += n_feeders
+            uawt = tuple(float(x) for x in r[i:i + n_feeders]); i += n_feeders
+            t = float(r[0])
+        except ValueError as exc:
+            raise DataError(f"feature row {row_no}: {exc}") from None
+        out.append(FeatureSample(t=t, movement_counts=counts,
                                  movement_awt=awt, approach_aawt=aawt,
                                  upstream_counts=ucounts, upstream_awt=uawt,
                                  attack_active=r[i] == "1"))

@@ -1,8 +1,10 @@
-"""Static arterial road network: nodes, directed edges, turn connections, signal movements.
+"""Static arterial road network: intersections, directed edges, turn
+connections, signal movements.
 
-The network is a short east-west arterial of signalized 4-leg intersections.
-The east-most intersection is the "subject" whose east-bound approach is fed
-by the intersection immediately to its west.
+The network is a short east-west arterial of signalized 4-leg intersections;
+`build_arterial_network` makes the only one there is. Each approach to an
+intersection is one edge. The east-most intersection is the "subject" whose
+east-bound approach is fed by the intersection immediately to its west.
 """
 from __future__ import annotations
 
@@ -87,10 +89,6 @@ MOVEMENT_ORDER: tuple[Movement, ...] = (
     Movement.NBL, Movement.NBT, Movement.SBL, Movement.SBT,
 )
 
-APPROACH_HEADINGS: tuple[Heading, ...] = (
-    Heading.EAST, Heading.WEST, Heading.NORTH, Heading.SOUTH,
-)
-
 
 def through_movement_of(heading: Heading) -> Movement:
     return Movement(heading.approach_label + "T")
@@ -113,14 +111,6 @@ def stream_for_headings(in_heading: Heading, out_heading: Heading) -> Stream:
 
 
 @dataclass(frozen=True)
-class Node:
-    id: str
-    x: float
-    y: float
-    signalized: bool = True
-
-
-@dataclass(frozen=True)
 class Edge:
     id: str
     frm: str | None       # None at a peripheral entry
@@ -128,7 +118,6 @@ class Edge:
     length: float
     speed_limit: float
     heading: Heading
-    through_lanes: int = 1
     pocket_length: float = 0.0
 
 
@@ -140,23 +129,13 @@ class Connection:
 
 
 @dataclass(frozen=True)
-class Approach:
-    """Inbound edges feeding a node from one travel direction."""
-    node: str
-    heading: Heading
-    edges: tuple[str, ...]
-
-    @property
-    def label(self) -> str:
-        return self.heading.approach_label
-
-    @property
-    def first_edge(self) -> str:
-        return self.edges[0]
-
-
-@dataclass(frozen=True)
 class GeometryConfig:
+    """Arterial geometry.
+
+    The microsim drives one through lane per approach, so `through_lanes`
+    must be 1. `pocket_length` only switches the left-turn pocket on (> 0)
+    or off (0): a pocket is a lane as long as its edge, whatever the value.
+    """
     intersections: int = 2
     leg_length: float = 300.0
     link_length: float = 300.0
@@ -171,19 +150,19 @@ class GeometryConfig:
             raise ConfigError("edge lengths must be positive")
         if self.speed_limit <= 0:
             raise ConfigError("speed limit must be positive")
-        if self.through_lanes < 1:
-            raise ConfigError("need at least one through lane")
+        if self.through_lanes != 1:
+            raise ConfigError(f"through_lanes={self.through_lanes}: the microsim "
+                              f"drives exactly one through lane")
         if self.pocket_length < 0:
             raise ConfigError("pocket length must be non-negative")
 
 
 @dataclass
 class RoadNetwork:
-    nodes: dict[str, Node]
+    nodes: tuple[str, ...]            # intersection ids, west to east
     edges: dict[str, Edge]
     connections: list[Connection]
     entries: tuple[str, ...]
-    exits: tuple[str, ...]
     subject_node: str
     _conn_index: dict[tuple[str, str], Connection] = field(init=False, repr=False)
     _out_by_in: dict[str, list[Connection]] = field(init=False, repr=False)
@@ -193,27 +172,6 @@ class RoadNetwork:
         self._out_by_in = {}
         for c in self.connections:
             self._out_by_in.setdefault(c.in_edge, []).append(c)
-        self.validate()
-
-    def validate(self) -> None:
-        for e in self.edges.values():
-            if e.length <= 0:
-                raise ConfigError(f"edge {e.id} has non-positive length")
-            if e.speed_limit <= 0:
-                raise ConfigError(f"edge {e.id} has non-positive speed limit")
-        for c in self.connections:
-            tail = self.edges[c.in_edge].to
-            head = self.edges[c.out_edge].frm
-            if tail is None or tail != head:
-                raise ConfigError(f"connection {c.in_edge}->{c.out_edge} is not contiguous")
-        for nid, node in self.nodes.items():
-            if not node.signalized:
-                continue
-            streams = {c.stream for c in self.connections
-                       if self.edges[c.in_edge].to == nid}
-            missing = (set(Movement) | set(RightTurn)) - streams
-            if missing:
-                raise ConfigError(f"node {nid} lacks streams: {sorted(s.value for s in missing)}")
 
     # -- lookups -------------------------------------------------------------
 
@@ -226,35 +184,23 @@ class RoadNetwork:
     def connections_from(self, in_edge: str) -> list[Connection]:
         return self._out_by_in.get(in_edge, [])
 
-    def connections_into_node(self, node: str) -> list[Connection]:
-        return [c for c in self.connections if self.edges[c.in_edge].to == node]
-
-    def in_edges(self, node: str) -> list[Edge]:
-        return [e for e in self.edges.values() if e.to == node]
-
-    def approach(self, node: str, heading: Heading) -> Approach:
-        edges = tuple(e.id for e in self.in_edges(node) if e.heading is heading)
-        if not edges:
-            raise DataError(f"node {node} has no {heading.approach_label} approach")
-        return Approach(node=node, heading=heading, edges=edges)
-
-    def approaches(self, node: str) -> list[Approach]:
-        return [self.approach(node, h) for h in APPROACH_HEADINGS]
-
-    @property
-    def signalized_nodes(self) -> list[str]:
-        return [nid for nid, n in self.nodes.items() if n.signalized]
+    def approach_edge(self, node: str, heading: Heading) -> str:
+        """The one edge that enters `node` travelling `heading`."""
+        for e in self.edges.values():
+            if e.to == node and e.heading is heading:
+                return e.id
+        raise DataError(f"node {node} has no {heading.approach_label} approach")
 
 
-def upstream_feeders(net: RoadNetwork, approach: Approach) -> set[tuple[str, Stream]]:
-    """Turn streams at the upstream signalized node whose out-edge starts this approach.
+def upstream_feeders(net: RoadNetwork, edge: str) -> set[tuple[str, Stream]]:
+    """Turn streams at the upstream intersection whose out-edge is `edge`.
 
-    Empty when the approach begins at a peripheral entry.
+    Empty when `edge` begins at a peripheral entry.
     """
-    first = net.edges[approach.first_edge]
-    if first.frm is None or not net.nodes[first.frm].signalized:
+    frm = net.edges[edge].frm
+    if frm is None:
         return set()
-    return {(first.frm, c.stream) for c in net.connections if c.out_edge == first.id}
+    return {(frm, c.stream) for c in net.connections if c.out_edge == edge}
 
 
 def build_arterial_network(cfg: GeometryConfig | None = None) -> RoadNetwork:
@@ -265,18 +211,15 @@ def build_arterial_network(cfg: GeometryConfig | None = None) -> RoadNetwork:
     cfg.validate()
     k = cfg.intersections
 
-    nodes: dict[str, Node] = {}
     edges: dict[str, Edge] = {}
 
     def add_edge(eid, frm, to, length, heading):
         edges[eid] = Edge(id=eid, frm=frm, to=to, length=length,
                           speed_limit=cfg.speed_limit, heading=heading,
-                          through_lanes=cfg.through_lanes,
                           pocket_length=cfg.pocket_length if to is not None else 0.0)
 
-    node_ids = [f"I{i}" for i in range(k)]
-    for i, nid in enumerate(node_ids):
-        nodes[nid] = Node(id=nid, x=i * cfg.link_length, y=0.0, signalized=True)
+    node_ids = tuple(f"I{i}" for i in range(k))
+    for nid in node_ids:
         # north/south legs
         add_edge(f"{nid}_in_S", None, nid, cfg.leg_length, Heading.SOUTH)
         add_edge(f"{nid}_out_N", nid, None, cfg.leg_length, Heading.NORTH)
@@ -307,6 +250,5 @@ def build_arterial_network(cfg: GeometryConfig | None = None) -> RoadNetwork:
                     stream=stream_for_headings(ein.heading, eout.heading)))
 
     entries = tuple(sorted(e.id for e in edges.values() if e.frm is None))
-    exits = tuple(sorted(e.id for e in edges.values() if e.to is None))
-    return RoadNetwork(nodes=nodes, edges=edges, connections=connections,
-                       entries=entries, exits=exits, subject_node=node_ids[-1])
+    return RoadNetwork(nodes=node_ids, edges=edges, connections=connections,
+                       entries=entries, subject_node=node_ids[-1])

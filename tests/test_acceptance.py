@@ -201,7 +201,7 @@ def test_criterion_03_microsim_safety(out_root):
             vid=f"q{i}", provenance="real", lane=0, pos=pos, speed=10.0,
             route=["I0_in_E", "link_I0_I1_E", "I1_out_E"], route_index=0,
             entry_time=0.0)
-    red = {n: frozenset() for n in net.signalized_nodes}
+    red = {n: frozenset() for n in net.nodes}
     for _ in range(120):
         world.step(red)
     queue = sorted(world.vehicles.values(), key=lambda v: -v.pos)

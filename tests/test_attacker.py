@@ -97,7 +97,7 @@ def test_zero_rate_means_never_inject(net):
         cfg = AttackConfig(start=0.0, mode=AttackMode.PHANTOM, policy=policy)
         atk = SlowPoisoningAttacker(cfg, net, PARAMS)
         world = World(net, PARAMS, 0.0, None, seed=1)
-        red = {n: frozenset() for n in net.signalized_nodes}
+        red = {n: frozenset() for n in net.nodes}
         for t in range(0, 30):
             atk.on_second_phantom(float(t), world, eb_sample(net, float(t)), red)
         assert atk.phantoms == [] and atk.events == []
@@ -118,7 +118,7 @@ def test_no_injection_before_start(net):
     atk = SlowPoisoningAttacker(cfg, net, PARAMS, start_offset=600.0)
     assert atk.start_abs == 1000.0
     world = World(net, PARAMS, 0.0, None, seed=1)
-    row = {n: frozenset() for n in net.signalized_nodes}
+    row = {n: frozenset() for n in net.nodes}
     atk.on_second_phantom(999.0, world, eb_sample(net, 999.0), row)
     assert atk.phantoms == []
     atk.on_second_phantom(1000.0, world, eb_sample(net, 1000.0), row)
@@ -130,7 +130,7 @@ def test_controller_aware_holds_fire_when_losing_badly(net):
                        policy=ControllerAwarePolicy(margin=0.5))
     atk = SlowPoisoningAttacker(cfg, net, PARAMS)
     world = World(net, PARAMS, 0.0, None, seed=1)
-    row = {n: frozenset() for n in net.signalized_nodes}
+    row = {n: frozenset() for n in net.nodes}
     # EB empty, WBT waiting 50 s -> target 0, best other 50
     losing = eb_sample(net, 1.0, n_eb=0, other=50.0)
     atk.on_second_phantom(1.0, world, losing, row)
@@ -143,8 +143,8 @@ def test_min_headway_between_injections(net):
     atk = SlowPoisoningAttacker(cfg, net, PARAMS)
     world = World(net, PARAMS, 0.0, None, seed=1)
     row = {n: frozenset(net.stream_of(c.in_edge, c.out_edge)
-                        for c in net.connections_into_node(n))
-           for n in net.signalized_nodes}
+                        for c in net.connections if net.edges[c.in_edge].to == n)
+           for n in net.nodes}
     for t in range(0, 40):
         atk.on_second_phantom(float(t), world, eb_sample(net, float(t)), row)
     injects = [e.t for e in atk.events if e.action == "inject"]
@@ -157,7 +157,7 @@ def test_max_concurrent_cap(net):
                        min_headway=1.0, policy=FixedRatePolicy(rate_vph=3600.0))
     atk = SlowPoisoningAttacker(cfg, net, PARAMS)
     world = World(net, PARAMS, 0.0, None, seed=1)
-    red = {n: frozenset() for n in net.signalized_nodes}   # fakes pile up
+    red = {n: frozenset() for n in net.nodes}   # fakes pile up
     for t in range(0, 200):
         atk.on_second_phantom(float(t), world, eb_sample(net, float(t)), red)
         assert len(atk.phantoms) <= 3
@@ -170,7 +170,7 @@ def test_phantom_fakes_obey_physics(net):
     cfg = AttackConfig(start=0.0, mode=AttackMode.PHANTOM, min_headway=10.0)
     atk = SlowPoisoningAttacker(cfg, net, PARAMS)
     world = World(net, PARAMS, 0.0, None, seed=1)
-    red = {n: frozenset() for n in net.signalized_nodes}
+    red = {n: frozenset() for n in net.nodes}
     limit = net.edges[atk.entry_edge].speed_limit
     prev = {}
     for t in range(0, 120):
@@ -193,7 +193,7 @@ def test_phantom_fakes_stop_at_red_and_accrue_waiting(net):
     cfg = AttackConfig(start=0.0, mode=AttackMode.PHANTOM)
     atk = SlowPoisoningAttacker(cfg, net, PARAMS)
     world = World(net, PARAMS, 0.0, None, seed=1)
-    red = {n: frozenset() for n in net.signalized_nodes}
+    red = {n: frozenset() for n in net.nodes}
     edge_len = net.edges[atk.entry_edge].length
     for t in range(0, 120):
         atk.on_second_phantom(float(t), world, eb_sample(net, float(t)), red)
@@ -208,10 +208,10 @@ def test_phantom_waiting_never_resets_in_cumulative_mode(net):
     cfg = AttackConfig(start=0.0, mode=AttackMode.PHANTOM)
     atk = SlowPoisoningAttacker(cfg, net, PARAMS)
     world = World(net, PARAMS, 0.0, None, seed=1, cumulative_waiting_mode=True)
-    red = {n: frozenset() for n in net.signalized_nodes}
+    red = {n: frozenset() for n in net.nodes}
     green = {n: frozenset(net.stream_of(c.in_edge, c.out_edge)
-                          for c in net.connections_into_node(n))
-             for n in net.signalized_nodes}
+                          for c in net.connections if net.edges[c.in_edge].to == n)
+             for n in net.nodes}
     history: dict[str, list[tuple[float, float]]] = {}
     for t in range(0, 200):
         row = green if 120 <= t < 125 else red
@@ -231,8 +231,8 @@ def test_phantom_fakes_cross_on_green_and_despawn(net):
     atk = SlowPoisoningAttacker(cfg, net, PARAMS)
     world = World(net, PARAMS, 0.0, None, seed=1)
     green = {n: frozenset(net.stream_of(c.in_edge, c.out_edge)
-                          for c in net.connections_into_node(n))
-             for n in net.signalized_nodes}
+                          for c in net.connections if net.edges[c.in_edge].to == n)
+             for n in net.nodes}
     for t in range(0, 200):
         atk.on_second_phantom(float(t), world, eb_sample(net, float(t)), green)
     despawns = [e for e in atk.events if e.action == "despawn"]
@@ -243,7 +243,7 @@ def test_fake_bsms_look_like_regular_records(net):
     cfg = AttackConfig(start=0.0, mode=AttackMode.PHANTOM)
     atk = SlowPoisoningAttacker(cfg, net, PARAMS)
     world = World(net, PARAMS, 0.0, None, seed=1)
-    red = {n: frozenset() for n in net.signalized_nodes}
+    red = {n: frozenset() for n in net.nodes}
     atk.on_second_phantom(0.0, world, eb_sample(net, 0.0), red)
     (b,) = atk.fake_bsms(0.0)
     assert b.edge_id == atk.entry_edge
@@ -258,8 +258,8 @@ def test_physical_injection_enters_world_and_despawn_tracked(net):
     atk = SlowPoisoningAttacker(cfg, net, PARAMS)
     world = World(net, PARAMS, 0.0, None, seed=1)
     green = {n: frozenset(net.stream_of(c.in_edge, c.out_edge)
-                          for c in net.connections_into_node(n))
-             for n in net.signalized_nodes}
+                          for c in net.connections if net.edges[c.in_edge].to == n)
+             for n in net.nodes}
     for t in range(0, 150):
         world.step(green)
         atk.on_second_physical(float(t), world, eb_sample(net, float(t)))

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +52,7 @@ def test_dt_must_divide_the_one_second_grid():
     {"attack": {"policy": {"kind": "fixed_rate", "max_rate_vph": 10.0}}},
     {"attack": {"mode": "teleport"}},
     {"attack": "physical"},
+    {"geometry": {"through_lanes": 2}},
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, bad):
     path = tmp_path / "cfg.json"
@@ -290,14 +293,29 @@ def test_cli_detect_on_truncated_checkpoint_exits_3(run_pair, tmp_path, capsys):
                      str(a.feature_log), "--out", str(tmp_path / "v.csv")]) == 3
 
 
-def test_cli_error_exit_codes(tmp_path, capsys):
+def test_cli_error_exit_codes(run_pair, tmp_path, capsys):
+    _, a, _ = run_pair
     # missing config file -> ConfigError -> exit 2
     assert cli_main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
-    # empty feature log -> DataError -> exit 3
+    # empty, missing or non-numeric feature log -> DataError -> exit 3
     empty = tmp_path / "empty.csv"
     empty.write_text("")
-    assert cli_main(["train", "--features", str(empty),
-                     "--out", str(tmp_path / "m.npz")]) == 3
+    header, row = a.feature_log.read_text().splitlines()[:2]
+    garbled = tmp_path / "garbled.csv"
+    garbled.write_text(f"{header}\n{row}\n" + row.replace(",", ",abc", 1) + "\n")
+    for features in (empty, tmp_path / "nope.csv", garbled):
+        assert cli_main(["train", "--features", str(features),
+                         "--out", str(tmp_path / "m.npz")]) == 3, features
+    # an --out whose directory is missing -> ConfigError -> exit 2, before
+    # any training or replay
+    missing = tmp_path / "missing"
+    assert cli_main(["train", "--features", str(a.feature_log), "--epochs", "1",
+                     "--out", str(missing / "m.npz")]) == 2
+    assert cli_main(["detect", "--model", str(tmp_path / "nope.npz"),
+                     "--features", str(a.feature_log),
+                     "--out", str(missing / "v.csv")]) == 2
+    assert not missing.exists()
+    assert "Traceback" not in capsys.readouterr().err
     # plot: a bad spec -> ConfigError -> exit 2; an unreadable series CSV ->
     # DataError -> exit 3
     table = tmp_path / "t.csv"
@@ -315,6 +333,15 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                       ({"series": [{**entry, "y": "speed"}], "out": svg}, 3)]:
         spec.write_text(json.dumps(bad))
         assert cli_main(["plot", "--spec", str(spec)]) == code, bad
+
+
+@pytest.mark.parametrize("script", ["run_default_experiment", "sweep_attack_rates"])
+def test_script_help_runs(script):
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, f"scripts/{script}.py", "--help"],
+                         cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_console_script_entry_point():

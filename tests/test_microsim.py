@@ -21,11 +21,11 @@ def all_green(net):
     """Right-of-way map that lets everything move (for free-flow tests)."""
     from atsclab.roadnet import Movement, RightTurn
     row = frozenset(set(Movement) | set(RightTurn))
-    return {n: row for n in net.signalized_nodes}
+    return {n: row for n in net.nodes}
 
 
 def all_red(net):
-    return {n: frozenset() for n in net.signalized_nodes}
+    return {n: frozenset() for n in net.nodes}
 
 
 # -- krauss_safe_speed -------------------------------------------------------
@@ -145,7 +145,7 @@ def test_no_collisions_with_dawdling(net):
     for step in range(400):
         # legal signals: one movement green per node, rotating
         m = MOVEMENT_ORDER[(step // 15) % 8]
-        row = {n: right_of_way(PhaseKind.GREEN, m) for n in net.signalized_nodes}
+        row = {n: right_of_way(PhaseKind.GREEN, m) for n in net.nodes}
         world.step(row)
         occ = world.occupancy()
         for vehicles in occ.values():

@@ -169,15 +169,17 @@ def test_feature_row_round_trip(net):
 
 
 def test_one_pass_aggregate_matches_per_node_loop(net):
-    # every stream of both signalized nodes, walked once per node with plain
+    # every stream of both intersections, walked once per node with plain
     # loops over the raw records
     records = [rec(4.0, f"v{i}", c.in_edge, c.out_edge, waiting=0.5 * i)
                for i, c in enumerate(net.connections * 2)]
     records.append(rec(4.0, "gone", "I1_out_E", ""))
     stats = node_stream_stats(records, net, 4.0)
-    assert sorted(stats) == sorted(net.signalized_nodes) == ["I0", "I1"]
-    for node in net.signalized_nodes:
-        for c in net.connections_into_node(node):
+    assert tuple(stats) == net.nodes == ("I0", "I1")
+    for node in net.nodes:
+        for c in net.connections:
+            if net.edges[c.in_edge].to != node:
+                continue
             count = 0
             awt = 0.0
             for r in records:

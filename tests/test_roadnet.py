@@ -10,13 +10,18 @@ def net():
     return build_arterial_network()
 
 
+def into(net, node):
+    """Connections whose in-edge ends at `node`."""
+    return [c for c in net.connections if net.edges[c.in_edge].to == node]
+
+
 def test_default_network_shape(net):
-    assert sorted(net.signalized_nodes) == ["I0", "I1"]
+    assert net.nodes == ("I0", "I1")
     assert net.subject_node == "I1"
     # two 4-leg intersections sharing the east-west arterial: six peripheral
     # entries and six exits
     assert len(net.entries) == 6
-    assert len(net.exits) == 6
+    assert sum(e.to is None for e in net.edges.values()) == 6
     assert all(net.edges[e].frm is None for e in net.entries)
 
 
@@ -37,8 +42,8 @@ def test_negative_speed_rejected():
 
 
 def test_every_signalized_node_has_all_streams(net):
-    for nid in net.signalized_nodes:
-        streams = {c.stream for c in net.connections_into_node(nid)}
+    for nid in net.nodes:
+        streams = {c.stream for c in into(net, nid)}
         assert streams == set(Movement) | set(RightTurn)
 
 
@@ -60,8 +65,8 @@ def test_stream_of_unknown_connection(net):
 
 
 def test_stream_of_partitions_streams(net):
-    for nid in net.signalized_nodes:
-        conns = net.connections_into_node(nid)
+    for nid in net.nodes:
+        conns = into(net, nid)
         assert len(conns) == 12
         per_stream = {}
         for c in conns:
@@ -71,9 +76,24 @@ def test_stream_of_partitions_streams(net):
         assert len(per_stream) == 12
 
 
+def test_approach_edge_is_the_single_edge_per_heading():
+    net3 = build_arterial_network(GeometryConfig(intersections=3))
+    assert net3.nodes == ("I0", "I1", "I2")
+    for nid in net3.nodes:
+        for h in Heading:
+            (expected,) = [e.id for e in net3.edges.values()
+                           if e.to == nid and e.heading is h]
+            assert net3.approach_edge(nid, h) == expected
+    assert net3.approach_edge("I2", Heading.EAST) == "link_I1_I2_E"
+
+
+def test_approach_edge_of_unknown_node(net):
+    with pytest.raises(DataError):
+        net.approach_edge("I9", Heading.EAST)
+
+
 def test_upstream_feeders_of_subject_eb_approach(net):
-    ap = net.approach("I1", Heading.EAST)
-    feeders = upstream_feeders(net, ap)
+    feeders = upstream_feeders(net, net.approach_edge("I1", Heading.EAST))
     # the three streams that exit the upstream junction east: its through
     # movement plus the left and right turns onto the arterial
     assert feeders == {("I0", Movement.EBT), ("I0", Movement.SBL),
@@ -81,17 +101,18 @@ def test_upstream_feeders_of_subject_eb_approach(net):
 
 
 def test_upstream_feeders_brute_force_property(net):
-    for nid in net.signalized_nodes:
-        for ap in net.approaches(nid):
+    for nid in net.nodes:
+        for h in Heading:
+            edge = net.approach_edge(nid, h)
             expected = {(net.edges[c.in_edge].to, c.stream)
-                        for c in net.connections if c.out_edge == ap.first_edge}
-            assert upstream_feeders(net, ap) == expected
+                        for c in net.connections if c.out_edge == edge}
+            assert upstream_feeders(net, edge) == expected
 
 
 def test_peripheral_approaches_have_no_feeders(net):
     for h in (Heading.WEST, Heading.NORTH, Heading.SOUTH):
-        assert upstream_feeders(net, net.approach("I1", h)) == set()
-    assert upstream_feeders(net, net.approach("I0", Heading.EAST)) == set()
+        assert upstream_feeders(net, net.approach_edge("I1", h)) == set()
+    assert upstream_feeders(net, net.approach_edge("I0", Heading.EAST)) == set()
 
 
 def test_movement_enum_shape():
