@@ -4,7 +4,7 @@ attack detection."""
 
 __version__ = "0.1.0"
 
-from .roadnet import (GeometryConfig, Heading, Movement, RightTurn, RoadNetwork,
+from .roadnet import (GeometryConfig, Heading, Movement, RoadNetwork,
                       build_arterial_network, upstream_feeders)
 from .microsim import CarFollowingParams, Vehicle, World, krauss_safe_speed
 from .msgplane import (BsmRecord, FeatureSample, emit_bsm, feeder_streams,

@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Mapping
 
 from .errors import DataError
-from .roadnet import MOVEMENT_ORDER, Movement, Stream, right_turn_of
+from .roadnet import MOVEMENT_ORDER, Movement
 
 YELLOW_DURATION = 2.0
 ALL_RED_DURATION = 1.0
@@ -46,12 +46,14 @@ def select_green(aawt: Mapping[Movement, float],
     raise AssertionError("unreachable")
 
 
-def right_of_way(kind: PhaseKind, movement: Movement | None) -> frozenset[Stream]:
+# the streams each signalized movement's green releases
+_RELEASED = {m: frozenset(s for s in Movement if s.phase is m) for m in MOVEMENT_ORDER}
+
+
+def right_of_way(kind: PhaseKind, movement: Movement | None) -> frozenset[Movement]:
     if kind is not PhaseKind.GREEN or movement is None:
         return frozenset()
-    if movement.is_through:
-        return frozenset({movement, right_turn_of(movement.approach)})
-    return frozenset({movement})
+    return _RELEASED[movement]
 
 
 @dataclass
@@ -76,7 +78,7 @@ class SignalController:
         self.next_checkpoint: float | None = None
         self._last_tick: float | None = None
 
-    def tick(self, aawt: Mapping[Movement, float], t: float) -> frozenset[Stream]:
+    def tick(self, aawt: Mapping[Movement, float], t: float) -> frozenset[Movement]:
         if self._last_tick is not None and t <= self._last_tick:
             raise DataError(f"controller {self.node}: non-monotonic tick at t={t}")
         self._last_tick = t

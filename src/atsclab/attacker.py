@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .microsim import (FAKE, THROUGH_LANE, CarFollowingParams, Vehicle, World,
                        entry_cell_clear, entry_speed)
 from .msgplane import BsmRecord, FeatureSample, emit_bsm
-from .roadnet import Heading, Movement, RoadNetwork, Stream
+from .roadnet import Heading, Movement, RoadNetwork
 
 
 class AttackMode(Enum):
@@ -109,8 +109,7 @@ class SlowPoisoningAttacker:
         self.entry_edge = net.approach_edge(net.subject_node, Heading.EAST)
         # straight through the subject, despawn one edge downstream
         conns = net.connections_from(self.entry_edge)
-        through = next(c for c in conns
-                       if isinstance(c.stream, Movement) and c.stream.is_through)
+        through = next(c for c in conns if c.stream.turn == "T")
         self.route = [self.entry_edge, through.out_edge]
         self.target_movements = (Movement.EBL, Movement.EBT)
         self.last_injection: float | None = None
@@ -172,7 +171,7 @@ class SlowPoisoningAttacker:
 
     def on_second_phantom(self, t: float, world: World,
                           sample: FeatureSample | None,
-                          row_map: Mapping[str, frozenset[Stream]]) -> None:
+                          row_map: Mapping[str, frozenset[Movement]]) -> None:
         order = sorted(self.phantoms, key=lambda v: (v.route_index, -v.pos, v.vid))
         gone = {v.vid for v in world.step_overlay(order, row_map)}
         self.events += [AttackEvent(t, v.vid, "despawn", "phantom", "exited")

@@ -127,17 +127,17 @@ class DetectionVerdict:
     valid: bool = True      # False for seconds lost to a stream gap
 
 
-def detect(spec: DetectorSpec, samples: list[FeatureSample],
-           dt: float = 1.0) -> list[DetectionVerdict]:
+def detect(spec: DetectorSpec, samples: list[FeatureSample]) -> list[DetectionVerdict]:
     """Streaming verdicts: predict each second's EB count from the trailing
     window and flag iff |observed - predicted| strictly exceeds the threshold.
+    Samples lie on the 1 s grid; any other step between two is a stream gap.
     """
     L = spec.lookback
     verdicts: list[DetectionVerdict] = []
     history: list[np.ndarray] = []
     prev_t: float | None = None
     for s in samples:
-        gap = prev_t is not None and abs(s.t - prev_t - dt) > 1e-9
+        gap = prev_t is not None and abs(s.t - prev_t - 1.0) > 1e-9
         prev_t = s.t
         if gap:
             history.clear()   # a missing second invalidates the trailing window
@@ -239,6 +239,9 @@ def load_detector(path) -> DetectorSpec:
             meta = json.loads(str(data["meta"]))
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise DataError(f"unsupported checkpoint version {meta.get('version')}")
+            lookback = meta["lookback"]
+            if type(lookback) is not int or lookback < 1:
+                raise DataError(f"checkpoint lookback {lookback!r} is not an integer >= 1")
             model = LstmRegressor.from_state(meta["input_dim"], meta["hidden1"],
                                              meta["hidden2"],
                                              {k: data[k] for k in data.files
@@ -250,6 +253,6 @@ def load_detector(path) -> DetectorSpec:
                                 threshold=DetectionThreshold(
                                     raw=meta["threshold_raw"],
                                     effective=meta["threshold_effective"]),
-                                lookback=meta["lookback"])
+                                lookback=lookback)
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot read detector checkpoint {path}: {exc}") from exc

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -64,6 +65,8 @@ class ScenarioConfig:
     log_trajectories: bool = False
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be non-negative")
         if self.dt <= 0 or not (1.0 / self.dt).is_integer():   # keeps the 1 s grid
             raise ConfigError(f"dt={self.dt} must divide 1 s into whole steps")
         if self.warmup < 0 or self.cooldown < 0:
@@ -115,8 +118,9 @@ def _from_dict(cls, d, where: str):
     """Build config dataclass `cls` from a parsed JSON object; a nested object
     becomes the class of its field's default, a string an enum member.
 
-    Unknown keys, and values whose type differs from the field default's, are
-    ConfigErrors rather than a TypeError at construction or later in the run.
+    Unknown keys, values whose type differs from the field default's, and
+    NaN or infinite numbers (which `json.load` accepts) are ConfigErrors
+    rather than a TypeError at construction or a wrong run later.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object, got {d!r}")
@@ -135,6 +139,8 @@ def _from_dict(cls, d, where: str):
         elif isinstance(default, Enum) or not _same_type(value, default):
             raise ConfigError(f"{where}.{key} must be {type(default).__name__}, "
                               f"got {value!r}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
     return cls(**kwargs)
 
 
@@ -373,7 +379,7 @@ def run_experiment(cfg: ScenarioConfig, out_dir,
 
     reports = {}
     for mode, spec in specs.items():
-        verdicts = detect(spec, attacked.analysis_samples, dt=1.0)
+        verdicts = detect(spec, attacked.analysis_samples)
         write_verdicts(out / f"verdicts_{mode.value}.csv", spec, verdicts)
         reports[mode] = (verdicts, detection_report(
             verdicts, window_injects, attacked.attack_start_abs))

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .roadnet import Movement, RightTurn, RoadNetwork, Stream
+from .roadnet import Movement, RoadNetwork
 
 WAITING_SPEED = 0.1     # m/s; at or below this a vehicle accrues waiting time
 LOOKAHEAD = 100.0       # m; leader search horizon past the current position
@@ -161,8 +161,7 @@ class World:
         edge = self.net.edges[vehicle_edge]
         if next_edge is None or edge.pocket_length <= 0:
             return THROUGH_LANE
-        stream = self.net.stream_of(vehicle_edge, next_edge)
-        if isinstance(stream, Movement) and not stream.is_through:
+        if self.net.stream_of(vehicle_edge, next_edge).turn == "L":
             return POCKET_LANE
         return THROUGH_LANE
 
@@ -179,7 +178,7 @@ class World:
             vs.sort(key=_front_first)
         return occ
 
-    def stream_at_node(self, vehicle: Vehicle) -> Stream | None:
+    def stream_at_node(self, vehicle: Vehicle) -> Movement | None:
         nxt = vehicle.next_edge_id
         if nxt is None:
             return None
@@ -187,7 +186,7 @@ class World:
 
     def leader_of(self, vehicle: Vehicle,
                   occ: dict[tuple[str, int], list[Vehicle]],
-                  row_map: dict[str, frozenset[Stream]]) -> tuple[float, float] | None:
+                  row_map: dict[str, frozenset[Movement]]) -> tuple[float, float] | None:
         """(leader speed, net gap) for the nearest constraint ahead, or None.
 
         Net gap is bumper-to-bumper minus the follower's minimum gap for
@@ -235,7 +234,7 @@ class World:
 
     def _next_speed(self, v: Vehicle,
                     occ: dict[tuple[str, int], list[Vehicle]],
-                    row_map: Mapping[str, frozenset[Stream]]) -> float:
+                    row_map: Mapping[str, frozenset[Movement]]) -> float:
         """Speed for the coming step before dawdle: accelerate, cap at the
         speed limit, then at the Krauss safe speed behind the leader."""
         p = self.params
@@ -246,7 +245,7 @@ class World:
             v_next = min(v_next, krauss_safe_speed(v.speed, lead[0], lead[1], p))
         return v_next
 
-    def _move(self, v: Vehicle, row_map: Mapping[str, frozenset[Stream]]) -> bool:
+    def _move(self, v: Vehicle, row_map: Mapping[str, frozenset[Movement]]) -> bool:
         """Advance `v` at its speed across edges; True once it leaves its route.
 
         A vehicle without right of way is held at the stop line; one that
@@ -266,7 +265,7 @@ class World:
             edge = self.net.edges[v.edge_id]
         return False
 
-    def step(self, row_map: dict[str, frozenset[Stream]]) -> None:
+    def step(self, row_map: dict[str, frozenset[Movement]]) -> None:
         """Advance one timestep under the given per-node right-of-way map."""
         dt = self.dt
         p = self.params
@@ -294,7 +293,7 @@ class World:
         self.spawn_arrivals()
 
     def step_overlay(self, overlay: list[Vehicle],
-                     row_map: Mapping[str, frozenset[Stream]]) -> list[Vehicle]:
+                     row_map: Mapping[str, frozenset[Movement]]) -> list[Vehicle]:
         """Step vehicles kept outside the world (phantoms); return those that
         left their route.
 
@@ -326,15 +325,13 @@ class World:
         """Random route from an entry edge to a peripheral exit via the turn split."""
         route = [entry]
         labels = ("through", "left", "right")
+        turns = ("T", "L", "R")
         probs = np.array([self.turn_split[k] for k in labels])
         while self.net.edges[route[-1]].to is not None:
             conns = self.net.connections_from(route[-1])
-            choice = labels[int(self.rng.choice(len(labels), p=probs))]
+            choice = turns[int(self.rng.choice(len(labels), p=probs))]
             for c in conns:
-                s = c.stream
-                kind = ("right" if isinstance(s, RightTurn)
-                        else "through" if s.is_through else "left")
-                if kind == choice:
+                if c.stream.turn == choice:
                     route.append(c.out_edge)
                     break
         return route

@@ -9,14 +9,14 @@ from dataclasses import dataclass, field
 from .atsc import compute_aawt
 from .errors import DataError
 from .microsim import Vehicle
-from .roadnet import (Heading, Movement, MOVEMENT_ORDER, RightTurn,
-                      RoadNetwork, Stream, through_movement_of, upstream_feeders)
+from .roadnet import Heading, Movement, MOVEMENT_ORDER, RoadNetwork, upstream_feeders
 
 APPROACH_LABELS = ("EB", "WB", "NB", "SB")
-_STREAMS = (*Movement, *RightTurn)
 # each approach's streams in aggregation order, e.g. EBL, EBT, EBR
-_APPROACH_STREAMS = {a: tuple(s for s in _STREAMS if s.value[:2] == a)
+_APPROACH_STREAMS = {a: tuple(s for s in Movement if s.value[:2] == a)
                      for a in APPROACH_LABELS}
+# (right turn, the movement whose green it moves on)
+_RIGHT_FOLD = tuple((s, s.phase) for s in Movement if s.turn == "R")
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ def emit_bsm(vehicle: Vehicle, t: float) -> BsmRecord:
 @dataclass
 class NodeStreamStats:
     """Per-turn-stream vehicle counts and waiting-time sums at one node."""
-    counts: dict[Stream, int] = field(default_factory=lambda: dict.fromkeys(_STREAMS, 0))
-    awt: dict[Stream, float] = field(default_factory=lambda: dict.fromkeys(_STREAMS, 0.0))
+    counts: dict[Movement, int] = field(default_factory=lambda: dict.fromkeys(Movement, 0))
+    awt: dict[Movement, float] = field(default_factory=lambda: dict.fromkeys(Movement, 0.0))
 
     def movement_counts(self) -> dict[Movement, int]:
         return _per_movement(self.counts)
@@ -70,8 +70,8 @@ class NodeStreamStats:
 def _per_movement(per_stream: dict) -> dict:
     """Per signal movement; right-turners ride with their through phase."""
     out = {m: per_stream[m] for m in MOVEMENT_ORDER}
-    for r in RightTurn:
-        out[through_movement_of(r.approach)] += per_stream[r]
+    for right, through in _RIGHT_FOLD:
+        out[through] += per_stream[right]
     return out
 
 
@@ -97,7 +97,7 @@ def node_stream_stats(records: list[BsmRecord], net: RoadNetwork,
     return stats
 
 
-def feeder_streams(net: RoadNetwork) -> tuple[tuple[str, Stream], ...]:
+def feeder_streams(net: RoadNetwork) -> tuple[tuple[str, Movement], ...]:
     """Canonically ordered upstream feeders of the subject EB approach."""
     feeders = upstream_feeders(net, net.approach_edge(net.subject_node, Heading.EAST))
     return tuple(sorted(feeders, key=lambda f: (f[0], f[1].value)))
@@ -133,7 +133,7 @@ class FeatureSample:
 
 
 def sample_features(stats: dict[str, NodeStreamStats], net: RoadNetwork,
-                    feeders: tuple[tuple[str, Stream], ...], t: float,
+                    feeders: tuple[tuple[str, Movement], ...], t: float,
                     attack_active: bool = False) -> FeatureSample:
     """Build the subject-centric per-second feature sample from one second's
     aggregate (`node_stream_stats`); `feeders` is `feeder_streams(net)`."""

@@ -32,6 +32,8 @@ class TrainingConfig:
             raise ConfigError("epochs, batch size and lookback must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning rate must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"training seed={self.seed} must be non-negative")
 
 
 @dataclass

@@ -15,99 +15,60 @@ from .errors import ConfigError, DataError
 
 
 class Heading(Enum):
-    """Direction of travel."""
+    """Direction of travel, declared clockwise."""
     NORTH = "N"
     EAST = "E"
     SOUTH = "S"
     WEST = "W"
 
     @property
-    def left(self) -> "Heading":
-        return _LEFT[self]
-
-    @property
-    def right(self) -> "Heading":
-        return _RIGHT[self]
-
-    @property
-    def reverse(self) -> "Heading":
-        return _REVERSE[self]
-
-    @property
     def approach_label(self) -> str:
         """Approach name by travel direction, e.g. EAST -> 'EB'."""
-        return {"N": "NB", "E": "EB", "S": "SB", "W": "WB"}[self.value]
-
-
-_LEFT = {Heading.EAST: Heading.NORTH, Heading.NORTH: Heading.WEST,
-         Heading.WEST: Heading.SOUTH, Heading.SOUTH: Heading.EAST}
-_RIGHT = {v: k for k, v in _LEFT.items()}
-_REVERSE = {Heading.EAST: Heading.WEST, Heading.WEST: Heading.EAST,
-            Heading.NORTH: Heading.SOUTH, Heading.SOUTH: Heading.NORTH}
+        return self.value + "B"
 
 
 class Movement(Enum):
-    """The eight signalized turn streams at a 4-leg intersection.
+    """The twelve turn streams at a 4-leg intersection, per approach in left,
+    through, right order. Named by travel direction: EBL is east-bound
+    traffic turning left.
 
-    Named by travel direction: EBL is east-bound traffic turning left.
+    `turn` is "L", "T" or "R". `phase` is the signalized movement whose green
+    this stream moves on: itself for L and T, and its approach's T for an
+    unsignalized right turn.
     """
     EBL = "EBL"
     EBT = "EBT"
+    EBR = "EBR"
     WBL = "WBL"
     WBT = "WBT"
+    WBR = "WBR"
     NBL = "NBL"
     NBT = "NBT"
+    NBR = "NBR"
     SBL = "SBL"
     SBT = "SBT"
-
-    @property
-    def approach(self) -> Heading:
-        return Heading(self.value[0])      # EBL -> "E"
-
-    @property
-    def is_through(self) -> bool:
-        return self.value.endswith("T")
-
-
-class RightTurn(Enum):
-    """Unsignalized right-turn streams; they move with their approach's through phase."""
-    EBR = "EBR"
-    WBR = "WBR"
-    NBR = "NBR"
     SBR = "SBR"
 
-    @property
-    def approach(self) -> Heading:
-        return Heading(self.value[0])      # EBR -> "E"
+    def __init__(self, label: str) -> None:
+        self.turn = label[2]
+        # an approach's T is declared before its R, so it already exists here
+        self.phase = self if self.turn != "R" else type(self)(label[:2] + "T")
 
 
-Stream = Movement | RightTurn
+# The eight signalized movements; their declaration order (EBL, EBT, WBL,
+# ... SBT) is the fixed controller tie-break order.
+MOVEMENT_ORDER: tuple[Movement, ...] = tuple(m for m in Movement if m.phase is m)
 
-# Fixed controller tie-break order.
-MOVEMENT_ORDER: tuple[Movement, ...] = (
-    Movement.EBL, Movement.EBT, Movement.WBL, Movement.WBT,
-    Movement.NBL, Movement.NBT, Movement.SBL, Movement.SBT,
-)
-
-
-def through_movement_of(heading: Heading) -> Movement:
-    return Movement(heading.approach_label + "T")
+# clockwise quarter turns from the in heading to the out heading -> turn
+_TURN_BY_QUARTERS = ("T", "R", None, "L")
 
 
-def right_turn_of(heading: Heading) -> RightTurn:
-    return RightTurn(heading.approach_label + "R")
-
-
-def stream_for_headings(in_heading: Heading, out_heading: Heading) -> Stream:
-    """Classify a turn by compass geometry of the in/out edge headings."""
-    label = in_heading.approach_label
-    if out_heading is in_heading:
-        return Movement(label + "T")
-    if out_heading is in_heading.left:
-        return Movement(label + "L")
-    if out_heading is in_heading.right:
-        return RightTurn(label + "R")
-    raise DataError(f"u-turn connection {in_heading} -> {out_heading} is not modelled")
+def stream_for_headings(in_heading: Heading, out_heading: Heading) -> Movement | None:
+    """Classify a turn by compass geometry of the in/out edge headings; None
+    for a u-turn, which is not modelled."""
+    compass = list(Heading)
+    turn = _TURN_BY_QUARTERS[(compass.index(out_heading) - compass.index(in_heading)) % 4]
+    return None if turn is None else Movement(in_heading.approach_label + turn)
 
 
 @dataclass(frozen=True)
@@ -125,7 +86,7 @@ class Edge:
 class Connection:
     in_edge: str
     out_edge: str
-    stream: Stream
+    stream: Movement
 
 
 @dataclass(frozen=True)
@@ -175,7 +136,7 @@ class RoadNetwork:
 
     # -- lookups -------------------------------------------------------------
 
-    def stream_of(self, in_edge: str, out_edge: str) -> Stream:
+    def stream_of(self, in_edge: str, out_edge: str) -> Movement:
         try:
             return self._conn_index[(in_edge, out_edge)].stream
         except KeyError:
@@ -192,7 +153,7 @@ class RoadNetwork:
         raise DataError(f"node {node} has no {heading.approach_label} approach")
 
 
-def upstream_feeders(net: RoadNetwork, edge: str) -> set[tuple[str, Stream]]:
+def upstream_feeders(net: RoadNetwork, edge: str) -> set[tuple[str, Movement]]:
     """Turn streams at the upstream intersection whose out-edge is `edge`.
 
     Empty when `edge` begins at a peripheral entry.
@@ -243,11 +204,10 @@ def build_arterial_network(cfg: GeometryConfig | None = None) -> RoadNetwork:
         outs = [e for e in edges.values() if e.frm == nid]
         for ein in ins:
             for eout in outs:
-                if eout.heading is ein.heading.reverse:
-                    continue  # no u-turns
-                connections.append(Connection(
-                    in_edge=ein.id, out_edge=eout.id,
-                    stream=stream_for_headings(ein.heading, eout.heading)))
+                stream = stream_for_headings(ein.heading, eout.heading)
+                if stream is not None:
+                    connections.append(Connection(in_edge=ein.id, out_edge=eout.id,
+                                                  stream=stream))
 
     entries = tuple(sorted(e.id for e in edges.values() if e.frm is None))
     return RoadNetwork(nodes=node_ids, edges=edges, connections=connections,

@@ -5,7 +5,7 @@ from atsclab.atsc import (ALL_RED_DURATION, CHECKPOINT_INTERVAL, YELLOW_DURATION
                           PhaseKind, SignalController, compute_aawt, right_of_way,
                           select_green)
 from atsclab.errors import DataError
-from atsclab.roadnet import MOVEMENT_ORDER, Movement, RightTurn
+from atsclab.roadnet import MOVEMENT_ORDER, Movement
 
 
 def table(**kw):
@@ -63,12 +63,16 @@ def test_argmax_scale_invariance(vals):
 # -- right_of_way ------------------------------------------------------------
 
 def test_through_green_includes_companion_right_turn():
-    row = right_of_way(PhaseKind.GREEN, Movement.EBT)
-    assert row == frozenset({Movement.EBT, RightTurn.EBR})
+    # an unsignalized right turn moves on its own approach's through green
+    companion = {Movement.EBT: Movement.EBR, Movement.WBT: Movement.WBR,
+                 Movement.NBT: Movement.NBR, Movement.SBT: Movement.SBR}
+    for through, right in companion.items():
+        assert right_of_way(PhaseKind.GREEN, through) == frozenset({through, right})
 
 
 def test_left_green_is_exclusive():
-    assert right_of_way(PhaseKind.GREEN, Movement.NBL) == frozenset({Movement.NBL})
+    for left in (Movement.EBL, Movement.WBL, Movement.NBL, Movement.SBL):
+        assert right_of_way(PhaseKind.GREEN, left) == frozenset({left})
 
 
 def test_non_green_phases_grant_nothing():

@@ -292,7 +292,14 @@ def test_load_rejects_truncated_or_incomplete_checkpoint(tmp_path, fitted):
     bad_mode = tmp_path / "bad_mode.npz"
     np.savez(bad_mode, **{**arrays, "meta": json.dumps(
         {**json.loads(str(arrays["meta"])), "mode": "bogus"})})
-    for path in (truncated, incomplete, bad_mode, tmp_path / "missing.npz"):
+    bad_lookbacks = []
+    for lookback in (0, -3, 2.5, True):
+        path = tmp_path / f"lookback_{lookback}.npz"
+        np.savez(path, **{**arrays, "meta": json.dumps(
+            {**json.loads(str(arrays["meta"])), "lookback": lookback})})
+        bad_lookbacks.append(path)
+    for path in (truncated, incomplete, bad_mode, tmp_path / "missing.npz",
+                 *bad_lookbacks):
         with pytest.raises(DataError):
             load_detector(path)
 

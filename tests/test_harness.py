@@ -6,6 +6,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from atsclab.attacker import AttackConfig, AttackMode
@@ -53,6 +54,12 @@ def test_dt_must_divide_the_one_second_grid():
     {"attack": {"mode": "teleport"}},
     {"attack": "physical"},
     {"geometry": {"through_lanes": 2}},
+    {"seed": -1},
+    {"detector": {"training": {"seed": -1}}},
+    {"demand_vph": float("nan")},
+    {"duration": float("inf")},
+    {"car_following": {"max_accel": float("inf")}},
+    {"attack": {"start": float("nan")}},
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, bad):
     path = tmp_path / "cfg.json"
@@ -201,15 +208,23 @@ GOLDEN = {
         "attack.csv": "96f59b0b736bf08e4889ea3a0e5fd03e4c9ca4094af5b1d5a84a848f12609d38",
         "manifest.json": "a5db479bc8418dbd04d12458a43ad63492548c5857e6da1b0f949fb6822ea688",
     },
+    # "<mode>#<seed>": the same 1210 s run at another seed than 42
+    "physical#7": {
+        "features.csv": "d9d8b1d1ba62731adc0b044655aeb6bacb95ab7ff12b757cc227415d011ee63d",
+        "phases.csv": "923b9b5768d1141b598543b33189a3711689fe89d8b02d45d3e88a6a4ef6e6e4",
+        "attack.csv": "09016f8fa3c7079eefd86374b52b5ed73c65887cdd4ad18b9f820e2cdbdc94e5",
+        "manifest.json": "e35bef47676c4aa9d7110822522bf1536239471b458646c527a78ea9ad4a702b",
+    },
 }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_artifacts_match_golden_digests(tmp_path, case):
-    mode, _, seconds = case.partition("@")
+    run, _, seed = case.partition("#")
+    mode, _, seconds = run.partition("@")
     attack = None if mode == "free" else AttackConfig(mode=AttackMode(mode))
-    arts = run_scenario(ScenarioConfig(duration=float(seconds or 1210), attack=attack),
-                        tmp_path)
+    arts = run_scenario(ScenarioConfig(seed=int(seed or 42), duration=float(seconds or 1210),
+                                       attack=attack), tmp_path)
     assert (mode == "free") != bool(arts.inject_times)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN[case]}
@@ -315,6 +330,20 @@ def test_cli_error_exit_codes(run_pair, tmp_path, capsys):
                      "--features", str(a.feature_log),
                      "--out", str(missing / "v.csv")]) == 2
     assert not missing.exists()
+    assert "Traceback" not in capsys.readouterr().err
+    # a negative seed -> ConfigError -> exit 2, before any output
+    assert cli_main(["simulate", "--seed", "-5", "--out", str(tmp_path / "neg")]) == 2
+    assert not (tmp_path / "neg").exists()
+    # a checkpoint whose lookback is not an integer >= 1 -> DataError -> exit 3
+    model = tmp_path / "m.npz"
+    assert cli_main(["train", "--features", str(a.feature_log), "--epochs", "1",
+                     "--out", str(model)]) == 0
+    with np.load(model, allow_pickle=False) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(str(arrays["meta"]))
+    np.savez(model, **{**arrays, "meta": json.dumps({**meta, "lookback": 0})})
+    assert cli_main(["detect", "--model", str(model), "--features", str(a.feature_log),
+                     "--out", str(tmp_path / "v.csv")]) == 3
     assert "Traceback" not in capsys.readouterr().err
     # plot: a bad spec -> ConfigError -> exit 2; an unreadable series CSV ->
     # DataError -> exit 3

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from atsclab.microsim import (CarFollowingParams, Vehicle, World,
                               krauss_safe_speed, update_waiting)
-from atsclab.roadnet import Movement, build_arterial_network, right_turn_of
+from atsclab.roadnet import Movement, build_arterial_network
 
 
 @pytest.fixture()
@@ -19,8 +19,7 @@ def make_world(net, seed=7, demand=150.0, sigma=0.5, **kw):
 
 def all_green(net):
     """Right-of-way map that lets everything move (for free-flow tests)."""
-    from atsclab.roadnet import Movement, RightTurn
-    row = frozenset(set(Movement) | set(RightTurn))
+    row = frozenset(Movement)
     return {n: row for n in net.nodes}
 
 

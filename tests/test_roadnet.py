@@ -2,7 +2,8 @@ import pytest
 
 from atsclab.errors import ConfigError, DataError
 from atsclab.roadnet import (GeometryConfig, Heading, MOVEMENT_ORDER, Movement,
-                             RightTurn, build_arterial_network, upstream_feeders)
+                             build_arterial_network, stream_for_headings,
+                             upstream_feeders)
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +45,7 @@ def test_negative_speed_rejected():
 def test_every_signalized_node_has_all_streams(net):
     for nid in net.nodes:
         streams = {c.stream for c in into(net, nid)}
-        assert streams == set(Movement) | set(RightTurn)
+        assert streams == set(Movement)
 
 
 def test_connections_are_contiguous(net):
@@ -52,11 +53,29 @@ def test_connections_are_contiguous(net):
         assert net.edges[c.in_edge].to == net.edges[c.out_edge].frm
 
 
+N, E, S, W = Heading.NORTH, Heading.EAST, Heading.SOUTH, Heading.WEST
+# (in heading, out heading) -> turn stream; None is a u-turn
+COMPASS = {
+    (E, N): Movement.EBL, (E, E): Movement.EBT, (E, S): Movement.EBR, (E, W): None,
+    (W, S): Movement.WBL, (W, W): Movement.WBT, (W, N): Movement.WBR, (W, E): None,
+    (N, W): Movement.NBL, (N, N): Movement.NBT, (N, E): Movement.NBR, (N, S): None,
+    (S, E): Movement.SBL, (S, S): Movement.SBT, (S, W): Movement.SBR, (S, N): None,
+}
+
+
 def test_stream_of_compass_geometry(net):
-    # east-bound in-edge at I0
-    assert net.stream_of("I0_in_E", "I0_out_N") is Movement.EBL
-    assert net.stream_of("I0_in_E", "link_I0_I1_E") is Movement.EBT
-    assert net.stream_of("I0_in_E", "I0_out_S") is RightTurn.EBR
+    assert len(COMPASS) == 16 and set(COMPASS.values()) == set(Movement) | {None}
+    for node in net.nodes:
+        for (h_in, h_out), expected in COMPASS.items():
+            assert stream_for_headings(h_in, h_out) is expected
+            in_edge = net.approach_edge(node, h_in)
+            (out_edge,) = [e.id for e in net.edges.values()
+                           if e.frm == node and e.heading is h_out]
+            if expected is None:
+                with pytest.raises(DataError):     # the builder makes no u-turns
+                    net.stream_of(in_edge, out_edge)
+            else:
+                assert net.stream_of(in_edge, out_edge) is expected
 
 
 def test_stream_of_unknown_connection(net):
@@ -97,7 +116,7 @@ def test_upstream_feeders_of_subject_eb_approach(net):
     # the three streams that exit the upstream junction east: its through
     # movement plus the left and right turns onto the arterial
     assert feeders == {("I0", Movement.EBT), ("I0", Movement.SBL),
-                       ("I0", RightTurn.NBR)}
+                       ("I0", Movement.NBR)}
 
 
 def test_upstream_feeders_brute_force_property(net):
@@ -116,9 +135,15 @@ def test_peripheral_approaches_have_no_feeders(net):
 
 
 def test_movement_enum_shape():
-    assert len(Movement) == 8
-    assert len(MOVEMENT_ORDER) == 8
+    # twelve turn streams, declared per approach in L, T, R order; the eight
+    # L and T movements are the signalized ones, in the controller's order
+    assert len(Movement) == 12
     per_approach = {}
     for m in Movement:
-        per_approach.setdefault(m.approach, []).append(m)
-    assert all(len(v) == 2 for v in per_approach.values())
+        per_approach.setdefault(m.value[:2], []).append(m.turn)
+    assert list(per_approach) == ["EB", "WB", "NB", "SB"]
+    assert all(turns == ["L", "T", "R"] for turns in per_approach.values())
+    assert len(MOVEMENT_ORDER) == 8
+    assert set(MOVEMENT_ORDER) == {m for m in Movement if m.turn != "R"}
+    assert [m.value for m in MOVEMENT_ORDER] == \
+        ["EBL", "EBT", "WBL", "WBT", "NBL", "NBT", "SBL", "SBT"]
