@@ -51,6 +51,11 @@ class WindowDataset:
     norm: NormalizationSpec
 
 
+def _is_gap(prev_t: float, t: float) -> bool:
+    """True unless `t` is the second right after `prev_t`."""
+    return abs(t - prev_t - 1.0) > 1e-9
+
+
 def build_dataset(samples: list[FeatureSample], mode: FeatureMode,
                   lookback: int, split: float = TRAIN_FRACTION) -> WindowDataset:
     """Chronological 70/30 split; windows of `lookback` seconds predict the
@@ -59,6 +64,10 @@ def build_dataset(samples: list[FeatureSample], mode: FeatureMode,
     n = len(samples)
     if n < lookback + 2:
         raise DataError(f"feature log of {n} rows is too short for lookback {lookback}")
+    for a, b in zip(samples, samples[1:]):
+        if _is_gap(a.t, b.t):
+            raise DataError(f"feature log jumps from t={a.t} to t={b.t}; "
+                            f"training needs consecutive seconds")
     feats = np.stack([feature_vector(s, mode) for s in samples])
     counts = np.array([float(s.eb_count) for s in samples])
 
@@ -132,18 +141,20 @@ def detect(spec: DetectorSpec, samples: list[FeatureSample]) -> list[DetectionVe
     window and flag iff |observed - predicted| strictly exceeds the threshold.
     Samples lie on the 1 s grid; any other step between two is a stream gap.
     """
+    if not samples:
+        return []
     L = spec.lookback
+    feats_n = spec.norm.transform(np.stack([feature_vector(s, spec.mode)
+                                            for s in samples]))
     verdicts: list[DetectionVerdict] = []
-    history: list[np.ndarray] = []
-    prev_t: float | None = None
-    for s in samples:
-        gap = prev_t is not None and abs(s.t - prev_t - 1.0) > 1e-9
-        prev_t = s.t
+    start = 0     # first sample of the current gap-free run
+    for i, s in enumerate(samples):
+        gap = i > 0 and _is_gap(samples[i - 1].t, s.t)
         if gap:
-            history.clear()   # a missing second invalidates the trailing window
-        if len(history) >= L:
-            window = np.stack(history[-L:])
-            pred = float(spec.norm.inverse_target(spec.model.predict_one(window)))
+            start = i   # a missing second invalidates the trailing window
+        if i - start >= L:
+            pred = float(spec.norm.inverse_target(
+                spec.model.forward(feats_n[None, i - L:i])[0]))
             err = abs(s.eb_count - pred)
             verdicts.append(DetectionVerdict(
                 t=s.t, observed=float(s.eb_count), predicted=pred,
@@ -153,7 +164,6 @@ def detect(spec: DetectorSpec, samples: list[FeatureSample]) -> list[DetectionVe
                                              predicted=float("nan"),
                                              abs_error=float("nan"),
                                              flagged=False, valid=False))
-        history.append(spec.norm.transform(feature_vector(s, spec.mode)))
     return verdicts
 
 

@@ -40,14 +40,25 @@ def fmt(x: float) -> str:
 
 @dataclass
 class DetectorSettings:
+    """`mode` must be "baseline": experiments train both feature modes. It
+    stays only as a manifest key until the next benchmark re-record
+    (ROADMAP item 1)."""
     mode: str = "baseline"
     training: TrainingConfig = field(default_factory=TrainingConfig)
     hidden1: int = 128
     hidden2: int = 8
 
+    def __post_init__(self) -> None:
+        if self.mode != "baseline":
+            raise ConfigError(f"detector.mode={self.mode!r} is not read; "
+                              f"experiments train both feature modes")
+
 
 @dataclass
 class ScenarioConfig:
+    """One closed-loop run, stepped once per second for `duration` seconds.
+    `dt` must be 1.0; it stays only as a manifest key until the next
+    benchmark re-record (ROADMAP item 1)."""
     seed: int = 42
     duration: float = 3600.0
     warmup: float = 600.0
@@ -67,8 +78,10 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.seed < 0:
             raise ConfigError(f"seed={self.seed} must be non-negative")
-        if self.dt <= 0 or not (1.0 / self.dt).is_integer():   # keeps the 1 s grid
-            raise ConfigError(f"dt={self.dt} must divide 1 s into whole steps")
+        if self.dt != 1.0:
+            raise ConfigError(f"dt={self.dt}: the simulation steps once per second")
+        if not float(self.duration).is_integer():
+            raise ConfigError(f"duration={self.duration} is not whole seconds")
         if self.warmup < 0 or self.cooldown < 0:
             raise ConfigError("warm-up and cool-down must be non-negative")
         if self.warmup + self.cooldown >= self.duration:
@@ -194,8 +207,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
     cfg.validate()
     net = build_arterial_network(cfg.geometry)
     world = World(net, cfg.car_following, cfg.demand_vph, cfg.turn_split,
-                  seed=cfg.seed, dt=cfg.dt,
-                  cumulative_waiting_mode=cfg.cumulative_waiting)
+                  seed=cfg.seed, cumulative_waiting_mode=cfg.cumulative_waiting)
     controllers = {n: atsc.SignalController(n) for n in net.nodes}
     row_map = {n: frozenset() for n in controllers}
 
@@ -220,10 +232,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
     eb_real_waiting = 0.0
     last_sample: FeatureSample | None = None
 
-    steps = int(round(cfg.duration / cfg.dt))
-    sample_every = int(1.0 / cfg.dt)      # a whole number: see validate()
-    for k in range(1, steps + 1):
-        t = k * cfg.dt
+    for k in range(1, int(cfg.duration) + 1):
+        t = float(k)
         world.step(row_map)
 
         in_analysis = cfg.analysis_start <= t < cfg.analysis_end
@@ -231,15 +241,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
             for v in world.vehicles.values():
                 if (v.provenance == REAL and v.edge_id == eb_edge
                         and v.speed <= WAITING_SPEED):
-                    eb_real_waiting += cfg.dt
+                    eb_real_waiting += 1.0
 
         if phantom:
             attacker.on_second_phantom(t, world, last_sample, row_map)
         elif attacker is not None:
             attacker.on_second_physical(t, world, last_sample)
-
-        if k % sample_every:
-            continue  # telemetry and control run on the 1 s grid
 
         vehicles = sorted(world.vehicles.values(), key=lambda v: v.vid)
         real_records = [emit_bsm(v, t) for v in vehicles]

@@ -1,4 +1,4 @@
-"""Deterministic fixed-timestep microscopic simulation with Krauss car following.
+"""Deterministic 1 s-step microscopic simulation with Krauss car following.
 
 Single through lane per approach plus a left-turn pocket lane; lane choice is
 fixed at edge entry from the vehicle's next turn, so there is no mid-edge lane
@@ -103,13 +103,13 @@ def entry_speed(lane: Sequence[Vehicle], speed: float,
     return min(speed, krauss_safe_speed(speed, w.speed, gap, params))
 
 
-def update_waiting(vehicle: Vehicle, dt: float, cumulative_mode: bool = False) -> None:
-    """Accrue waiting at speeds <= 0.1 m/s (inclusive); reset the timer on movement.
+def update_waiting(vehicle: Vehicle, cumulative_mode: bool = False) -> None:
+    """Accrue 1 s of waiting at speeds <= 0.1 m/s (inclusive); reset on movement.
 
     With `cumulative_mode` the per-vehicle timer never resets.
     """
     if vehicle.speed <= WAITING_SPEED:
-        vehicle.waiting += dt
+        vehicle.waiting += 1.0
     elif not cumulative_mode:
         vehicle.waiting = 0.0
 
@@ -121,14 +121,11 @@ class _Deferred:
 
 
 class World:
-    """Mutable simulation state; `step` advances one timestep."""
+    """Mutable simulation state; `step` advances one second."""
 
     def __init__(self, net: RoadNetwork, params: CarFollowingParams,
                  demand_vph: float, turn_split: dict[str, float] | None,
-                 seed: int, dt: float = 1.0,
-                 cumulative_waiting_mode: bool = False) -> None:
-        if dt <= 0:
-            raise ConfigError("timestep must be positive")
+                 seed: int, cumulative_waiting_mode: bool = False) -> None:
         if demand_vph < 0:
             raise ConfigError("demand must be non-negative")
         self.net = net
@@ -140,7 +137,6 @@ class World:
                 or not all(isinstance(p, (int, float)) and p >= 0 for p in shares)
                 or abs(sum(shares) - 1.0) > 1e-9):
             raise ConfigError("turn split needs through/left/right shares >= 0 summing to 1")
-        self.dt = dt
         self.cumulative_waiting_mode = cumulative_waiting_mode
         self.rng = np.random.default_rng(seed)
         self.clock = 0.0
@@ -157,11 +153,8 @@ class World:
         return f"{provenance[0]}{self._next_id:05d}"
 
     def lane_for(self, vehicle_edge: str, next_edge: str | None) -> int:
-        """Lane taken on `vehicle_edge`: pocket for left turns when one exists."""
-        edge = self.net.edges[vehicle_edge]
-        if next_edge is None or edge.pocket_length <= 0:
-            return THROUGH_LANE
-        if self.net.stream_of(vehicle_edge, next_edge).turn == "L":
+        """Lane taken on `vehicle_edge`: the pocket for a left turn."""
+        if next_edge is not None and self.net.stream_of(vehicle_edge, next_edge).turn == "L":
             return POCKET_LANE
         return THROUGH_LANE
 
@@ -216,18 +209,13 @@ class World:
         if stream not in row_map.get(node, frozenset()):
             return 0.0, dist_end  # stationary virtual leader at the stop line
         nxt = vehicle.next_edge_id
-        nxt_lane = self.lane_for(nxt, self._edge_after(vehicle, nxt))
+        after = vehicle.route[vehicle.route_index + 2:vehicle.route_index + 3]
+        nxt_lane = self.lane_for(nxt, after[0] if after else None)
         downstream = occ.get((nxt, nxt_lane), ())
         if downstream:
             w = downstream[-1]  # nearest to that edge's start
             gap = dist_end + w.pos - w.length - vehicle.min_gap
             return w.speed, gap
-        return None
-
-    def _edge_after(self, vehicle: Vehicle, edge: str) -> str | None:
-        i = vehicle.route.index(edge, vehicle.route_index)
-        if i + 1 < len(vehicle.route):
-            return vehicle.route[i + 1]
         return None
 
     # -- per-step dynamics ---------------------------------------------------
@@ -238,7 +226,7 @@ class World:
         """Speed for the coming step before dawdle: accelerate, cap at the
         speed limit, then at the Krauss safe speed behind the leader."""
         p = self.params
-        v_next = min(v.speed + p.max_accel * self.dt,
+        v_next = min(v.speed + p.max_accel,
                      self.net.edges[v.edge_id].speed_limit)
         lead = self.leader_of(v, occ, row_map)
         if lead is not None:
@@ -251,7 +239,7 @@ class World:
         A vehicle without right of way is held at the stop line; one that
         enters a new edge takes the lane of its next turn there.
         """
-        v.pos += v.speed * self.dt
+        v.pos += v.speed
         edge = self.net.edges[v.edge_id]
         while v.pos >= edge.length:
             if v.next_edge_id is None:
@@ -266,8 +254,7 @@ class World:
         return False
 
     def step(self, row_map: dict[str, frozenset[Movement]]) -> None:
-        """Advance one timestep under the given per-node right-of-way map."""
-        dt = self.dt
+        """Advance one second under the given per-node right-of-way map."""
         p = self.params
         occ = self.occupancy()
         order = sorted(self.vehicles.values(),
@@ -277,7 +264,7 @@ class World:
             v_next = self._next_speed(v, occ, row_map)
             if p.dawdle > 0:
                 eta = self.rng.random()
-                v_next -= p.dawdle * p.max_accel * eta * dt
+                v_next -= p.dawdle * p.max_accel * eta
             new_speed[v.vid] = max(0.0, v_next)
 
         for v in order:
@@ -287,9 +274,9 @@ class World:
                 del self.vehicles[v.vid]
 
         for v in self.vehicles.values():
-            update_waiting(v, dt, self.cumulative_waiting_mode)
+            update_waiting(v, self.cumulative_waiting_mode)
 
-        self.clock += dt
+        self.clock += 1.0
         self.spawn_arrivals()
 
     def step_overlay(self, overlay: list[Vehicle],
@@ -316,7 +303,7 @@ class World:
             lane = occ.setdefault((v.edge_id, v.lane), [])
             lane.append(v)
             lane.sort(key=_front_first)
-            update_waiting(v, self.dt, self.cumulative_waiting_mode)
+            update_waiting(v, self.cumulative_waiting_mode)
         return exited
 
     # -- demand --------------------------------------------------------------
@@ -353,7 +340,7 @@ class World:
 
     def spawn_arrivals(self) -> None:
         """Bernoulli arrivals per entry; blocked insertions are deferred, never dropped."""
-        lam = self.demand_vph / 3600.0 * self.dt
+        lam = self.demand_vph / 3600.0
         occ = self.occupancy()
         for entry in self.net.entries:
             q = self.deferred[entry]

@@ -140,12 +140,6 @@ class LstmRegressor:
         h2 = self._run_layer("2", h1, None)
         return (h2[:, -1, :] @ self.params["Wd"] + self.params["bd"])[:, 0]
 
-    def predict_one(self, window: np.ndarray) -> float:
-        window = np.asarray(window, dtype=float)
-        if window.ndim != 2:
-            raise DataError("window must be (L, F)")
-        return float(self.forward(window[None, :, :])[0])
-
     # -- backward ------------------------------------------------------------
 
     def loss_and_gradients(self, X: np.ndarray, y: np.ndarray):

@@ -79,7 +79,6 @@ class Edge:
     length: float
     speed_limit: float
     heading: Heading
-    pocket_length: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -93,9 +92,9 @@ class Connection:
 class GeometryConfig:
     """Arterial geometry.
 
-    The microsim drives one through lane per approach, so `through_lanes`
-    must be 1. `pocket_length` only switches the left-turn pocket on (> 0)
-    or off (0): a pocket is a lane as long as its edge, whatever the value.
+    The microsim drives one through lane and one full-length left-turn pocket
+    per approach, so `through_lanes` must be 1 and `pocket_length` positive;
+    both stay only as manifest keys until the next benchmark re-record.
     """
     intersections: int = 2
     leg_length: float = 300.0
@@ -114,8 +113,8 @@ class GeometryConfig:
         if self.through_lanes != 1:
             raise ConfigError(f"through_lanes={self.through_lanes}: the microsim "
                               f"drives exactly one through lane")
-        if self.pocket_length < 0:
-            raise ConfigError("pocket length must be non-negative")
+        if self.pocket_length <= 0:
+            raise ConfigError(f"pocket_length={self.pocket_length} must be positive")
 
 
 @dataclass
@@ -176,8 +175,7 @@ def build_arterial_network(cfg: GeometryConfig | None = None) -> RoadNetwork:
 
     def add_edge(eid, frm, to, length, heading):
         edges[eid] = Edge(id=eid, frm=frm, to=to, length=length,
-                          speed_limit=cfg.speed_limit, heading=heading,
-                          pocket_length=cfg.pocket_length if to is not None else 0.0)
+                          speed_limit=cfg.speed_limit, heading=heading)
 
     node_ids = tuple(f"I{i}" for i in range(k))
     for nid in node_ids:

@@ -63,25 +63,25 @@ def vehicle(speed, waiting=0.0):
 def test_waiting_accrues_below_threshold():
     v = vehicle(0.05)
     for _ in range(3):
-        update_waiting(v, 1.0)
+        update_waiting(v)
     assert v.waiting == 3.0
 
 
 def test_waiting_threshold_is_inclusive():
     v = vehicle(0.1)
-    update_waiting(v, 1.0)
+    update_waiting(v)
     assert v.waiting == 1.0
 
 
 def test_waiting_resets_on_movement_but_cumulative_persists():
     v = vehicle(0.2, waiting=5.0)
-    update_waiting(v, 1.0)
+    update_waiting(v)
     assert v.waiting == 0.0
 
 
 def test_cumulative_mode_never_resets():
     v = vehicle(0.2, waiting=5.0)
-    update_waiting(v, 1.0, cumulative_mode=True)
+    update_waiting(v, cumulative_mode=True)
     assert v.waiting == 5.0
 
 
