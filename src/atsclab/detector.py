@@ -20,6 +20,7 @@ from .msgplane import FeatureSample
 from .neuralnet import LstmRegressor, NormalizationSpec, TrainingConfig, train
 
 TRAIN_FRACTION = 0.7
+REPLAY_CHUNK = 256    # windows per replay forward; bounds the hidden states held
 
 
 class FeatureMode(Enum):
@@ -140,26 +141,46 @@ def detect(spec: DetectorSpec, samples: list[FeatureSample]) -> list[DetectionVe
     """Streaming verdicts: predict each second's EB count from the trailing
     window and flag iff |observed - predicted| strictly exceeds the threshold.
     Samples lie on the 1 s grid; any other step between two is a stream gap.
+
+    Windows are scored REPLAY_CHUNK at a time; every verdict is bit-identical
+    to a forward pass over its window alone.
     """
     if not samples:
         return []
     L = spec.lookback
     feats_n = spec.norm.transform(np.stack([feature_vector(s, spec.mode)
                                             for s in samples]))
-    verdicts: list[DetectionVerdict] = []
+    slots: list[tuple[int, bool]] = []    # (sample index, valid) per verdict
     start = 0     # first sample of the current gap-free run
     for i, s in enumerate(samples):
         gap = i > 0 and _is_gap(samples[i - 1].t, s.t)
         if gap:
             start = i   # a missing second invalidates the trailing window
         if i - start >= L:
-            pred = float(spec.norm.inverse_target(
-                spec.model.forward(feats_n[None, i - L:i])[0]))
-            err = abs(s.eb_count - pred)
-            verdicts.append(DetectionVerdict(
-                t=s.t, observed=float(s.eb_count), predicted=pred,
-                abs_error=err, flagged=err > spec.threshold.effective))
+            slots.append((i, True))
         elif gap:
+            slots.append((i, False))
+
+    ends = [i for i, valid in slots if valid]
+    pred = np.empty(len(ends))
+    for lo in range(0, len(ends), REPLAY_CHUNK):
+        chunk = ends[lo:lo + REPLAY_CHUNK]
+        # (N, 1, L, F) keeps each window a 1-row matrix: matmul runs one gemv per
+        # window, as for a lone window; an (N, L, F) gemm batch moves the last bits
+        X = np.stack([feats_n[i - L:i] for i in chunk])[:, None]
+        pred[lo:lo + len(chunk)] = spec.model.forward(X)[:, 0]
+    preds = iter(spec.norm.inverse_target(pred).tolist())
+
+    verdicts: list[DetectionVerdict] = []
+    for i, valid in slots:
+        s = samples[i]
+        if valid:
+            p = next(preds)
+            err = abs(s.eb_count - p)
+            verdicts.append(DetectionVerdict(
+                t=s.t, observed=float(s.eb_count), predicted=p,
+                abs_error=err, flagged=err > spec.threshold.effective))
+        else:
             verdicts.append(DetectionVerdict(t=s.t, observed=float(s.eb_count),
                                              predicted=float("nan"),
                                              abs_error=float("nan"),

@@ -4,6 +4,7 @@ makes it the attack surface — fake records are indistinguishable from real one
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .atsc import compute_aawt
@@ -191,6 +192,10 @@ def parse_feature_rows(header: list[str], rows: list[list[str]]) -> list[Feature
             t = float(r[0])
         except ValueError as exc:
             raise DataError(f"feature row {row_no}: {exc}") from None
+        if not all(math.isfinite(x) for x in (t, *awt, *aawt, *uawt)):
+            raise DataError(f"feature row {row_no} has a non-finite value")
+        if r[i] not in ("0", "1"):
+            raise DataError(f"feature row {row_no}: attack flag {r[i]!r} is not 0 or 1")
         out.append(FeatureSample(t=t, movement_counts=counts,
                                  movement_awt=awt, approach_aawt=aawt,
                                  upstream_counts=ucounts, upstream_awt=uawt,

@@ -114,31 +114,31 @@ class LstmRegressor:
     # -- forward -------------------------------------------------------------
 
     def _run_layer(self, tag: str, xs: np.ndarray, cache: list | None):
-        """xs: (B, L, F) -> hidden sequence (B, L, H)."""
-        B, L, _ = xs.shape
+        """xs: (..., L, F) -> hidden sequence (..., L, H)."""
+        *lead, L, _ = xs.shape
         H = self.params[f"U{tag}"].shape[0]
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
-        hs = np.empty((B, L, H))
+        h = np.zeros((*lead, H))
+        c = np.zeros((*lead, H))
+        hs = np.empty((*lead, L, H))
         for t in range(L):
             h_prev, c_prev = h, c
-            h, c, gates = lstm_cell_forward(xs[:, t, :], h, c,
+            h, c, gates = lstm_cell_forward(xs[..., t, :], h, c,
                                             self.params[f"W{tag}"],
                                             self.params[f"U{tag}"],
                                             self.params[f"b{tag}"])
-            hs[:, t, :] = h
+            hs[..., t, :] = h
             if cache is not None:
-                cache.append((xs[:, t, :], h_prev, c_prev, c, gates))
+                cache.append((xs[..., t, :], h_prev, c_prev, c, gates))
         return hs
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        """X: (B, L, F) normalized windows -> (B,) normalized predictions."""
+        """X: (..., L, F) normalized windows -> (...,) normalized predictions."""
         X = np.asarray(X, dtype=float)
-        if X.ndim != 3 or X.shape[2] != self.input_dim:
-            raise DataError(f"expected (B, L, {self.input_dim}) input, got {X.shape}")
+        if X.ndim < 3 or X.shape[-1] != self.input_dim:
+            raise DataError(f"expected (..., L, {self.input_dim}) input, got {X.shape}")
         h1 = self._run_layer("1", X, None)
         h2 = self._run_layer("2", h1, None)
-        return (h2[:, -1, :] @ self.params["Wd"] + self.params["bd"])[:, 0]
+        return (h2[..., -1, :] @ self.params["Wd"] + self.params["bd"])[..., 0]
 
     # -- backward ------------------------------------------------------------
 

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atsclab.detector import (DetectionThreshold, DetectorSpec, FeatureMode,
-                              build_dataset, compute_threshold, detect,
-                              detection_report, feature_vector,
-                              injection_surges, load_detector, save_detector,
-                              train_detector)
+from atsclab.detector import (REPLAY_CHUNK, DetectionThreshold, DetectionVerdict,
+                              DetectorSpec, FeatureMode, _is_gap, build_dataset,
+                              compute_threshold, detect, detection_report,
+                              feature_vector, injection_surges, load_detector,
+                              save_detector, train_detector)
 from atsclab.errors import DataError
 from atsclab.msgplane import FeatureSample
-from atsclab.neuralnet import TrainingConfig
+from atsclab.neuralnet import LstmRegressor, NormalizationSpec, TrainingConfig
 
 
 def sample(t, eb_count=0, eb_aawt=0.0, upstream=(0, 0, 0),
@@ -205,6 +205,60 @@ def test_stream_gap_invalidates_window(fitted):
     # valid verdicts resume only after a fresh full window
     after = [v for v in verdicts if v.valid and v.t > samples[60].t]
     assert after[0].t == samples[60 + spec.lookback].t
+
+
+def per_second_verdicts(spec, samples):
+    """Replay oracle: one single-window forward per second, as a streaming
+    monitor would run it."""
+    L = spec.lookback
+    feats_n = spec.norm.transform(np.stack([feature_vector(s, spec.mode)
+                                            for s in samples]))
+    out = []
+    start = 0
+    for i, s in enumerate(samples):
+        gap = i > 0 and _is_gap(samples[i - 1].t, s.t)
+        if gap:
+            start = i
+        if i - start >= L:
+            pred = float(spec.norm.inverse_target(
+                spec.model.forward(feats_n[None, i - L:i])[0]))
+            err = abs(s.eb_count - pred)
+            out.append(DetectionVerdict(t=s.t, observed=float(s.eb_count),
+                                        predicted=pred, abs_error=err,
+                                        flagged=err > spec.threshold.effective))
+        elif gap:
+            out.append(DetectionVerdict(t=s.t, observed=float(s.eb_count),
+                                        predicted=float("nan"),
+                                        abs_error=float("nan"),
+                                        flagged=False, valid=False))
+    return out
+
+
+@pytest.mark.parametrize("mode", list(FeatureMode))
+def test_detect_matches_per_second_replay_bit_for_bit(mode):
+    # production layer sizes, so a batch that changed the matmul kernel
+    # would show in the last bits
+    log = synthetic_log(REPLAY_CHUNK + 100, seed=3)
+    feats = np.stack([feature_vector(s, mode) for s in log])
+    counts = np.array([float(s.eb_count) for s in log])
+    spec = DetectorSpec(mode=mode, model=LstmRegressor(mode.dimension, 128, 8, seed=5),
+                        norm=NormalizationSpec.fit(feats, counts),
+                        threshold=DetectionThreshold.from_raw(1.5), lookback=10)
+    gappy = log[:120] + log[125:]      # a 5 s stream gap mid-log
+    got = detect(spec, gappy)
+    want = per_second_verdicts(spec, gappy)
+    n_valid = sum(v.valid for v in got)
+    assert n_valid > REPLAY_CHUNK and n_valid % REPLAY_CHUNK      # chunk + remainder
+    assert [v.valid for v in got] == [v.valid for v in want]
+    assert sum(not v.valid for v in got) == 1
+    assert [v.t for v in got] == [v.t for v in want]
+    assert [v.observed for v in got] == [v.observed for v in want]
+    assert [v.flagged for v in got] == [v.flagged for v in want]
+    for field in ("predicted", "abs_error"):
+        a = np.array([getattr(v, field) for v in got])
+        b = np.array([getattr(v, field) for v in want])
+        assert np.array_equal(a, b, equal_nan=True), field    # exact, not approx
+    assert detect(spec, log[:spec.lookback - 1]) == []
 
 
 # -- surge clustering and reporting ------------------------------------------

@@ -348,6 +348,18 @@ def test_cli_error_exit_codes(run_pair, tmp_path, capsys):
     model = tmp_path / "m.npz"
     assert cli_main(["train", "--features", str(a.feature_log), "--epochs", "1",
                      "--out", str(model)]) == 0
+    # a feature row with a non-finite time or waiting time, or an attack flag
+    # other than 0/1 -> DataError naming the row -> exit 3
+    columns = header.split(",")
+    bad = tmp_path / "bad.csv"
+    for col, value in [("t", "nan"), ("aawt_EB", "nan"), ("awt_EBT", "inf"),
+                       ("attack", "7")]:
+        fields = lines[500].split(",")
+        fields[columns.index(col)] = value
+        bad.write_text("\n".join(lines[:500] + [",".join(fields)] + lines[501:]) + "\n")
+        assert cli_main(["detect", "--model", str(model), "--features", str(bad),
+                         "--out", str(tmp_path / "v.csv")]) == 3, (col, value)
+        assert "feature row 500" in capsys.readouterr().err
     with np.load(model, allow_pickle=False) as data:
         arrays = {k: data[k] for k in data.files}
     meta = json.loads(str(arrays["meta"]))

@@ -84,8 +84,21 @@ def test_init_determinism():
 def test_bad_dimensions_rejected():
     with pytest.raises(ConfigError):
         LstmRegressor(0, 8, 4)
-    with pytest.raises(DataError):
-        LstmRegressor(2, 8, 4).forward(np.zeros((1, 5, 3)))
+    for shape in [(1, 5, 3), (5, 2), (4, 1, 5, 3)]:
+        with pytest.raises(DataError):
+            LstmRegressor(2, 8, 4).forward(np.zeros(shape))
+
+
+@pytest.mark.parametrize("input_dim", [2, 8])
+def test_stacked_forward_is_bit_identical_to_single_windows(input_dim):
+    # a (N, 1, L, F) stack keeps each window a 1-row matrix, so each gets the
+    # matrix-vector products of a lone (1, L, F) forward
+    m = LstmRegressor(input_dim, 128, 8, seed=7)
+    X = np.random.default_rng(1).uniform(size=(37, 10, input_dim))
+    stacked = m.forward(X[:, None])
+    assert stacked.shape == (37, 1)
+    single = np.array([m.forward(X[k:k + 1])[0] for k in range(len(X))])
+    assert np.array_equal(stacked[:, 0], single)
 
 
 # -- gradient oracle ----------------------------------------------------------
