@@ -34,11 +34,11 @@ def main() -> int:
         cfg.detector.training.epochs = args.epochs
 
     try:
-        result = run_experiment(cfg, Path(args.out))
+        report_txt = run_experiment(cfg, Path(args.out))
     except AtscLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    print(result.report_txt.read_text())
+    print(report_txt.read_text())
     print(f"artifacts under {args.out}")
     return 0
 

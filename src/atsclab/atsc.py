@@ -30,6 +30,12 @@ def compute_aawt(awt_sum: float, count: int) -> float:
     return awt_sum / count if count > 0 else 0.0
 
 
+def movement_aawt(counts: tuple[int, ...],
+                  awt: tuple[float, ...]) -> dict[Movement, float]:
+    """Each movement's AAWT from 8-tuples in MOVEMENT_ORDER."""
+    return {m: compute_aawt(w, n) for m, n, w in zip(MOVEMENT_ORDER, counts, awt)}
+
+
 def select_green(aawt: Mapping[Movement, float],
                  current: Movement | None = None) -> Movement:
     """Argmax over the eight movements.
@@ -68,13 +74,12 @@ class PhaseRecord:
 class SignalController:
     """One controller per signalized node; tick exactly once per second."""
 
-    def __init__(self, node: str, t0: float = 0.0) -> None:
+    def __init__(self, node: str) -> None:
         self.node = node
         self.kind = PhaseKind.ALL_RED
         self.movement: Movement | None = None      # green target / incumbent
         self.from_movement: Movement | None = None
-        self.phase_entry = t0
-        self.green_start: float | None = None
+        self.phase_entry = 0.0
         self.next_checkpoint: float | None = None
         self._last_tick: float | None = None
 
@@ -94,7 +99,6 @@ class SignalController:
                 self.movement = select_green(aawt, None)
                 self.from_movement = None
                 self.phase_entry = t
-                self.green_start = t
                 self.next_checkpoint = t + CHECKPOINT_INTERVAL
         elif self.kind is PhaseKind.GREEN:
             assert self.next_checkpoint is not None

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
+from .atsc import movement_aawt
 from .errors import ConfigError
 from .microsim import (FAKE, THROUGH_LANE, CarFollowingParams, Vehicle, World,
                        entry_cell_clear, entry_speed)
@@ -136,7 +137,7 @@ class SlowPoisoningAttacker:
             return False, "headway"
         if sample is None:
             return False, "no-telemetry"
-        aawt = sample.movement_aawt()
+        aawt = movement_aawt(sample.movement_counts, sample.movement_awt)
         target = max(aawt[m] for m in self.target_movements)
         others = [aawt[m] for m in aawt if m not in self.target_movements]
         if not injection_warranted(self.cfg.policy, target, max(others)):

@@ -5,6 +5,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -63,9 +64,16 @@ def _cmd_detect(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = ScenarioConfig.from_json(args.config)
     out = Path(args.out) if args.out else default_output_root() / "experiment"
-    result = run_experiment(cfg, out)
-    print(result.report_txt.read_text())
+    print(run_experiment(cfg, out).read_text())
     return 0
+
+
+def _span(sp) -> tuple[float, float]:
+    """One shaded x-interval of a plot spec: a pair of finite numbers."""
+    if not (isinstance(sp, list) and len(sp) == 2
+            and all(type(v) in (int, float) and math.isfinite(v) for v in sp)):
+        raise ValueError(f"span {sp!r} is not a pair of finite numbers")
+    return sp[0], sp[1]
 
 
 def _cmd_plot(args) -> int:
@@ -76,7 +84,7 @@ def _cmd_plot(args) -> int:
         out = spec["out"]
         style = ChartStyle(title=spec.get("title", ""),
                            xlabel=spec.get("xlabel", ""), ylabel=spec.get("ylabel", ""))
-        spans = [tuple(sp) for sp in spec.get("spans", [])]
+        spans = [_span(sp) for sp in spec.get("spans", [])]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad plot spec {args.spec}: {exc!r}") from exc
     series = []

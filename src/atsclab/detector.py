@@ -63,8 +63,10 @@ def build_dataset(samples: list[FeatureSample], mode: FeatureMode,
     next-second EB count. Normalization is fitted on the training portion only.
     """
     n = len(samples)
-    if n < lookback + 2:
-        raise DataError(f"feature log of {n} rows is too short for lookback {lookback}")
+    boundary = int(round(n * split))
+    if not lookback < boundary < n:
+        raise DataError(f"feature log of {n} rows is too short for lookback {lookback}: "
+                        f"it leaves no training or no validation window")
     for a, b in zip(samples, samples[1:]):
         if _is_gap(a.t, b.t):
             raise DataError(f"feature log jumps from t={a.t} to t={b.t}; "
@@ -72,7 +74,6 @@ def build_dataset(samples: list[FeatureSample], mode: FeatureMode,
     feats = np.stack([feature_vector(s, mode) for s in samples])
     counts = np.array([float(s.eb_count) for s in samples])
 
-    boundary = int(round(n * split))
     norm = NormalizationSpec.fit(feats[:boundary], counts[lookback:boundary])
     feats_n = norm.transform(feats)
 
@@ -193,7 +194,6 @@ class DetectionReport:
     first_flag: float | None
     latency: float | None           # first flag - attack start; None if undetected
     false_positives: int            # flags strictly before attack start
-    flag_times: list[float]
     surges: list[tuple[float, float]]
     surges_flagged: list[bool]
 
@@ -230,15 +230,15 @@ def detection_report(verdicts: list[DetectionVerdict], inject_times: list[float]
                       for a, b in surges]
     if attack_start is None:
         return DetectionReport(first_flag=flags[0] if flags else None, latency=None,
-                               false_positives=len(flags), flag_times=flags,
-                               surges=surges, surges_flagged=surges_flagged)
+                               false_positives=len(flags), surges=surges,
+                               surges_flagged=surges_flagged)
     post = [t for t in flags if t >= attack_start]
     first = post[0] if post else None
     return DetectionReport(
         first_flag=first,
         latency=(first - attack_start) if first is not None else None,
         false_positives=sum(1 for t in flags if t < attack_start),
-        flag_times=flags, surges=surges, surges_flagged=surges_flagged)
+        surges=surges, surges_flagged=surges_flagged)
 
 
 # -- persistence -------------------------------------------------------------

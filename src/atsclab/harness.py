@@ -180,7 +180,6 @@ def _same_type(value, default) -> bool:
 
 @dataclass
 class RunArtifacts:
-    out_dir: Path
     feature_log: Path
     phase_log: Path
     attack_log: Path
@@ -260,7 +259,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
         control_stats = (msgplane.node_stream_stats(real_records, net, t)
                          if phantom else stats)
         for n, ctrl in controllers.items():
-            row_map[n] = ctrl.tick(control_stats[n].movement_aawt(), t)
+            at = control_stats[n]
+            aawt = atsc.movement_aawt(at.movement_counts, at.movement_awt)
+            row_map[n] = ctrl.tick(aawt, t)
             rec = ctrl.record(t)
             phase_rows.append([fmt(t), n, rec.kind.value,
                                rec.movement.value if rec.movement else "",
@@ -309,7 +310,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
     analysis = [s for s in samples
                 if cfg.analysis_start <= s.t < cfg.analysis_end]
     inject_times = [e.t for e in events if e.action == "inject"]
-    return RunArtifacts(out_dir=out, feature_log=feature_log, phase_log=phase_log,
+    return RunArtifacts(feature_log=feature_log, phase_log=phase_log,
                         attack_log=attack_log, bsm_log=bsm_log,
                         trajectory_log=trajectory_log, manifest=manifest,
                         samples=samples, analysis_samples=analysis,
@@ -339,23 +340,10 @@ def load_feature_log(path) -> list[FeatureSample]:
     return msgplane.parse_feature_rows(header, rows)
 
 
-@dataclass
-class ExperimentResult:
-    baseline: DetectorSpec
-    upstream: DetectorSpec
-    free_run: RunArtifacts
-    attack_run: RunArtifacts
-    baseline_report: object
-    upstream_report: object
-    report_txt: Path
-    report_csv: Path
-
-
-def run_experiment(cfg: ScenarioConfig, out_dir,
-                   plots: bool = True) -> ExperimentResult:
+def run_experiment(cfg: ScenarioConfig, out_dir) -> Path:
     """Paired attack-free / attack runs sharing one seed, detector training on
     the attack-free log, online detection on the attack log, and the
-    comparison report.
+    comparison report and charts. Returns the path of `report.txt`.
     """
     if cfg.attack is None:
         raise ConfigError("experiment config needs an attack section")
@@ -419,42 +407,34 @@ def run_experiment(cfg: ScenarioConfig, out_dir,
                          str(sum(rep.surges_flagged))])
     report_txt = out / "report.txt"
     report_txt.write_text("\n".join(lines) + "\n")
-    report_csv = out / "report.csv"
-    _write_csv(report_csv, ["mode", "threshold_raw", "threshold_effective",
-                            "first_flag", "latency", "false_positives",
-                            "surges", "surges_flagged"], csv_rows)
+    _write_csv(out / "report.csv", ["mode", "threshold_raw", "threshold_effective",
+                                    "first_flag", "latency", "false_positives",
+                                    "surges", "surges_flagged"], csv_rows)
 
-    if plots:
-        render_svg([Series("attack-free EB count", ts, [float(c) for c in free_counts]),
-                    Series("under-attack EB count", ts, [float(c) for c in att_counts])],
-                   out / "eb_counts.svg",
-                   ChartStyle(title="Subject EB approach vehicle count",
-                              xlabel="time (s)", ylabel="vehicles"),
-                   spans=reports[FeatureMode.UPSTREAM][1].surges)
-        for mode, (verdicts, rep) in reports.items():
-            vts = [v.t for v in verdicts if v.valid]
-            render_svg([Series("absolute error", vts,
-                               [v.abs_error for v in verdicts if v.valid]),
-                        Series("threshold", vts,
-                               [float(specs[mode].threshold.effective)] * len(vts))],
-                       out / f"error_{mode.value}.svg",
-                       ChartStyle(title=f"{mode.value} prediction error",
-                                  xlabel="time (s)", ylabel="vehicles"))
-            c = curves[mode]
-            render_svg([Series("train MAE", list(range(1, len(c.train_mae) + 1)),
-                               c.train_mae),
-                        Series("val MAE", list(range(1, len(c.val_mae) + 1)),
-                               c.val_mae)],
-                       out / f"loss_{mode.value}.svg",
-                       ChartStyle(title=f"{mode.value} loss profile",
-                                  xlabel="epoch", ylabel="MAE (normalized)"))
-
-    return ExperimentResult(baseline=specs[FeatureMode.BASELINE],
-                            upstream=specs[FeatureMode.UPSTREAM],
-                            free_run=free, attack_run=attacked,
-                            baseline_report=reports[FeatureMode.BASELINE][1],
-                            upstream_report=reports[FeatureMode.UPSTREAM][1],
-                            report_txt=report_txt, report_csv=report_csv)
+    render_svg([Series("attack-free EB count", ts, [float(c) for c in free_counts]),
+                Series("under-attack EB count", ts, [float(c) for c in att_counts])],
+               out / "eb_counts.svg",
+               ChartStyle(title="Subject EB approach vehicle count",
+                          xlabel="time (s)", ylabel="vehicles"),
+               spans=reports[FeatureMode.UPSTREAM][1].surges)
+    for mode, (verdicts, rep) in reports.items():
+        vts = [v.t for v in verdicts if v.valid]
+        render_svg([Series("absolute error", vts,
+                           [v.abs_error for v in verdicts if v.valid]),
+                    Series("threshold", vts,
+                           [float(specs[mode].threshold.effective)] * len(vts))],
+                   out / f"error_{mode.value}.svg",
+                   ChartStyle(title=f"{mode.value} prediction error",
+                              xlabel="time (s)", ylabel="vehicles"))
+        c = curves[mode]
+        render_svg([Series("train MAE", list(range(1, len(c.train_mae) + 1)),
+                           c.train_mae),
+                    Series("val MAE", list(range(1, len(c.val_mae) + 1)),
+                           c.val_mae)],
+                   out / f"loss_{mode.value}.svg",
+                   ChartStyle(title=f"{mode.value} loss profile",
+                              xlabel="epoch", ylabel="MAE (normalized)"))
+    return report_txt
 
 
 def default_output_root() -> Path:

@@ -45,20 +45,12 @@ def emit_bsm(vehicle: Vehicle, t: float) -> BsmRecord:
 
 @dataclass
 class NodeStreamStats:
-    """Per-turn-stream vehicle counts and waiting-time sums at one node."""
+    """Per-turn-stream vehicle counts and waiting-time sums at one node, and
+    the same per signal movement as 8-tuples in MOVEMENT_ORDER."""
     counts: dict[Movement, int] = field(default_factory=lambda: dict.fromkeys(Movement, 0))
     awt: dict[Movement, float] = field(default_factory=lambda: dict.fromkeys(Movement, 0.0))
-
-    def movement_counts(self) -> dict[Movement, int]:
-        return _per_movement(self.counts)
-
-    def movement_awt(self) -> dict[Movement, float]:
-        return _per_movement(self.awt)
-
-    def movement_aawt(self) -> dict[Movement, float]:
-        counts = self.movement_counts()
-        awt = self.movement_awt()
-        return {m: compute_aawt(awt[m], counts[m]) for m in MOVEMENT_ORDER}
+    movement_counts: tuple[int, ...] = ()
+    movement_awt: tuple[float, ...] = ()
 
     def approach_aawt(self, label: str) -> float:
         # sums in stream order (EBL, EBT, EBR), not the through fold of
@@ -68,12 +60,13 @@ class NodeStreamStats:
                             sum(self.counts[s] for s in streams))
 
 
-def _per_movement(per_stream: dict) -> dict:
-    """Per signal movement; right-turners ride with their through phase."""
+def _per_movement(per_stream: dict) -> tuple:
+    """Per signal movement in MOVEMENT_ORDER; right-turners ride with their
+    through movement (summed T + R)."""
     out = {m: per_stream[m] for m in MOVEMENT_ORDER}
     for right, through in _RIGHT_FOLD:
         out[through] += per_stream[right]
-    return out
+    return tuple(out.values())
 
 
 def node_stream_stats(records: list[BsmRecord], net: RoadNetwork,
@@ -95,6 +88,9 @@ def node_stream_stats(records: list[BsmRecord], net: RoadNetwork,
         stream = net.stream_of(rec.edge_id, rec.next_edge)
         at.counts[stream] += 1
         at.awt[stream] += rec.waiting
+    for at in stats.values():
+        at.movement_counts = _per_movement(at.counts)
+        at.movement_awt = _per_movement(at.awt)
     return stats
 
 
@@ -128,10 +124,6 @@ class FeatureSample:
     def eb_aawt(self) -> float:
         return self.approach_aawt[0]
 
-    def movement_aawt(self) -> dict[Movement, float]:
-        return {m: compute_aawt(self.movement_awt[i], self.movement_counts[i])
-                for i, m in enumerate(MOVEMENT_ORDER)}
-
 
 def sample_features(stats: dict[str, NodeStreamStats], net: RoadNetwork,
                     feeders: tuple[tuple[str, Movement], ...], t: float,
@@ -141,8 +133,8 @@ def sample_features(stats: dict[str, NodeStreamStats], net: RoadNetwork,
     subject = stats[net.subject_node]
     return FeatureSample(
         t=t,
-        movement_counts=tuple(subject.movement_counts().values()),   # MOVEMENT_ORDER
-        movement_awt=tuple(subject.movement_awt().values()),
+        movement_counts=subject.movement_counts,
+        movement_awt=subject.movement_awt,
         approach_aawt=tuple(subject.approach_aawt(a) for a in APPROACH_LABELS),
         upstream_counts=tuple(stats[n].counts[s] for n, s in feeders),
         upstream_awt=tuple(stats[n].awt[s] for n, s in feeders),
@@ -194,6 +186,8 @@ def parse_feature_rows(header: list[str], rows: list[list[str]]) -> list[Feature
             raise DataError(f"feature row {row_no}: {exc}") from None
         if not all(math.isfinite(x) for x in (t, *awt, *aawt, *uawt)):
             raise DataError(f"feature row {row_no} has a non-finite value")
+        if min(counts + ucounts) < 0:
+            raise DataError(f"feature row {row_no} has a negative vehicle count")
         if r[i] not in ("0", "1"):
             raise DataError(f"feature row {row_no}: attack flag {r[i]!r} is not 0 or 1")
         out.append(FeatureSample(t=t, movement_counts=counts,

@@ -1,12 +1,17 @@
 """Minimal standalone SVG line charts: axes, legend, optional shaded spans."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 from .errors import DataError
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+WIDTH, HEIGHT = 900, 360
+MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 60, 20, 40, 45
+SPAN_COLOR, SPAN_OPACITY = "#add8e6", 0.45
+TICKS = 6     # target tick count per axis
 
 
 @dataclass
@@ -14,30 +19,20 @@ class Series:
     name: str
     x: list[float]
     y: list[float]
-    color: str | None = None
 
 
 @dataclass
 class ChartStyle:
-    width: int = 900
-    height: int = 360
-    margin_left: int = 60
-    margin_right: int = 20
-    margin_top: int = 40
-    margin_bottom: int = 45
     title: str = ""
     xlabel: str = ""
     ylabel: str = ""
-    span_color: str = "#add8e6"
-    span_opacity: float = 0.45
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    step = max((hi - lo) / n, 1e-12)
+    step = max((hi - lo) / TICKS, 1e-12)
     # round step to 1/2/5 * 10^k
-    import math
     k = math.floor(math.log10(step))
     base = step / 10 ** k
     nice = 1 if base <= 1 else 2 if base <= 2 else 5 if base <= 5 else 10
@@ -68,32 +63,32 @@ def render_svg(series: list[Series], path, style: ChartStyle | None = None,
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
-    pw = style.width - style.margin_left - style.margin_right
-    ph = style.height - style.margin_top - style.margin_bottom
+    pw = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    ph = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     def sx(v):
-        return style.margin_left + (v - x_lo) / (x_hi - x_lo) * pw
+        return MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * pw
 
     def sy(v):
-        return style.margin_top + ph - (v - y_lo) / (y_hi - y_lo) * ph
+        return MARGIN_TOP + ph - (v - y_lo) / (y_hi - y_lo) * ph
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{style.width}" '
-        f'height="{style.height}" viewBox="0 0 {style.width} {style.height}">',
-        f'<rect width="{style.width}" height="{style.height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     for a, b in spans or []:
         a, b = max(a, x_lo), min(b, x_hi)
         if b <= a:
             continue
         parts.append(
-            f'<rect class="flag-span" x="{sx(a):.2f}" y="{style.margin_top}" '
-            f'width="{sx(b) - sx(a):.2f}" height="{ph}" fill="{style.span_color}" '
-            f'opacity="{style.span_opacity}"/>')
+            f'<rect class="flag-span" x="{sx(a):.2f}" y="{MARGIN_TOP}" '
+            f'width="{sx(b) - sx(a):.2f}" height="{ph}" fill="{SPAN_COLOR}" '
+            f'opacity="{SPAN_OPACITY}"/>')
     # axes
-    ax = style.margin_left
-    ay = style.margin_top + ph
-    parts.append(f'<line x1="{ax}" y1="{style.margin_top}" x2="{ax}" y2="{ay}" '
+    ax = MARGIN_LEFT
+    ay = MARGIN_TOP + ph
+    parts.append(f'<line x1="{ax}" y1="{MARGIN_TOP}" x2="{ax}" y2="{ay}" '
                  'stroke="black"/>')
     parts.append(f'<line x1="{ax}" y1="{ay}" x2="{ax + pw}" y2="{ay}" stroke="black"/>')
     for v in _ticks(x_lo, x_hi):
@@ -107,17 +102,17 @@ def render_svg(series: list[Series], path, style: ChartStyle | None = None,
         parts.append(f'<text x="{ax - 7}" y="{sy(v):.2f}" font-size="11" '
                      f'text-anchor="end" dominant-baseline="middle">{v:g}</text>')
     if style.title:
-        parts.append(f'<text x="{style.width / 2:.0f}" y="20" font-size="14" '
+        parts.append(f'<text x="{WIDTH / 2:.0f}" y="20" font-size="14" '
                      f'text-anchor="middle">{escape(style.title)}</text>')
     if style.xlabel:
-        parts.append(f'<text x="{ax + pw / 2:.0f}" y="{style.height - 8}" '
+        parts.append(f'<text x="{ax + pw / 2:.0f}" y="{HEIGHT - 8}" '
                      f'font-size="12" text-anchor="middle">{escape(style.xlabel)}</text>')
     if style.ylabel:
-        parts.append(f'<text x="14" y="{style.margin_top + ph / 2:.0f}" font-size="12" '
+        parts.append(f'<text x="14" y="{MARGIN_TOP + ph / 2:.0f}" font-size="12" '
                      f'text-anchor="middle" transform="rotate(-90 14 '
-                     f'{style.margin_top + ph / 2:.0f})">{escape(style.ylabel)}</text>')
+                     f'{MARGIN_TOP + ph / 2:.0f})">{escape(style.ylabel)}</text>')
     for i, s in enumerate(series):
-        color = s.color or PALETTE[i % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(s.x, s.y))
         if len(s.x) == 1:
             parts.append(f'<circle cx="{sx(s.x[0]):.2f}" cy="{sy(s.y[0]):.2f}" r="3" '
@@ -125,8 +120,8 @@ def render_svg(series: list[Series], path, style: ChartStyle | None = None,
         else:
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                          'stroke-width="1.4"/>')
-        ly = style.margin_top + 6 + 16 * i
-        lx = style.margin_left + pw - 160
+        ly = MARGIN_TOP + 6 + 16 * i
+        lx = MARGIN_LEFT + pw - 160
         parts.append(f'<g class="legend-entry"><line x1="{lx}" y1="{ly}" '
                      f'x2="{lx + 22}" y2="{ly}" stroke="{color}" stroke-width="2"/>'
                      f'<text x="{lx + 28}" y="{ly + 4}" font-size="11">'

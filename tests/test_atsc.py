@@ -94,7 +94,7 @@ def run_ticks(ctrl, demand_fn, t_end, t0=0.0):
 
 
 def test_initial_all_red_lasts_one_second():
-    ctrl = SignalController("I1", t0=0.0)
+    ctrl = SignalController("I1")
     trace = run_ticks(ctrl, lambda t: table(EBT=5.0), 3.0)
     assert trace[0][1] is PhaseKind.ALL_RED
     assert trace[1][1] is PhaseKind.GREEN
@@ -107,7 +107,7 @@ def test_change_interval_timing():
     def demand(t):
         return table(EBT=5.0) if t < 6.0 else table(WBL=9.0)
 
-    ctrl = SignalController("I1", t0=0.0)
+    ctrl = SignalController("I1")
     trace = run_ticks(ctrl, demand, 15.0)
     kinds = {t: k for t, k, _, _ in trace}
     assert kinds[1.0] is PhaseKind.GREEN          # green onset t0 = 1
@@ -122,7 +122,7 @@ def test_change_interval_timing():
 
 
 def test_checkpoint_skip_keeps_incumbent_green():
-    ctrl = SignalController("I1", t0=0.0)
+    ctrl = SignalController("I1")
     trace = run_ticks(ctrl, lambda t: table(EBT=5.0), 30.0)
     assert all(k is PhaseKind.GREEN for t, k, _, _ in trace if t >= 1.0)
     assert all(m is Movement.EBT for t, _, m, _ in trace if t >= 1.0)
@@ -135,7 +135,7 @@ def test_checkpoints_every_five_seconds():
         phase = int(t) // 8
         return table(EBT=5.0) if phase % 2 == 0 else table(WBT=5.0)
 
-    ctrl = SignalController("I1", t0=0.0)
+    ctrl = SignalController("I1")
     trace = run_ticks(ctrl, demand, 120.0)
     greens = []
     start = None
@@ -157,7 +157,7 @@ def test_green_never_shorter_than_checkpoint_interval():
     def demand(t):
         return rng_tables[int(t) % len(rng_tables)]
 
-    ctrl = SignalController("I1", t0=0.0)
+    ctrl = SignalController("I1")
     trace = run_ticks(ctrl, demand, 300.0)
     durations = []
     start = None
@@ -184,13 +184,13 @@ def test_replay_determinism():
 
     traces = []
     for _ in range(2):
-        ctrl = SignalController("I1", t0=0.0)
+        ctrl = SignalController("I1")
         traces.append(run_ticks(ctrl, demand, 200.0))
     assert traces[0] == traces[1]
 
 
 def test_phase_record_reflects_state():
-    ctrl = SignalController("I1", t0=0.0)
+    ctrl = SignalController("I1")
     ctrl.tick(table(EBT=1.0), 0.0)
     ctrl.tick(table(EBT=1.0), 1.0)
     r = ctrl.record(3.0)

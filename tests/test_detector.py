@@ -86,6 +86,13 @@ def test_normalization_fitted_on_train_only():
 def test_too_short_log_rejected():
     with pytest.raises(DataError):
         build_dataset([sample(0.0)] * 5, FeatureMode.BASELINE, lookback=10)
+    # 12-15 rows pass the lookback + 2 floor, but round(0.7 n) <= 10 leaves
+    # no training window; 16 rows give exactly one
+    for n in (12, 13, 14, 15):
+        with pytest.raises(DataError, match="too short"):
+            build_dataset(synthetic_log(n), FeatureMode.BASELINE, lookback=10)
+    ds = build_dataset(synthetic_log(16), FeatureMode.BASELINE, lookback=10)
+    assert (len(ds.X_train), len(ds.X_val)) == (1, 5)
 
 
 # -- threshold ----------------------------------------------------------------

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -348,12 +350,12 @@ def test_cli_error_exit_codes(run_pair, tmp_path, capsys):
     model = tmp_path / "m.npz"
     assert cli_main(["train", "--features", str(a.feature_log), "--epochs", "1",
                      "--out", str(model)]) == 0
-    # a feature row with a non-finite time or waiting time, or an attack flag
-    # other than 0/1 -> DataError naming the row -> exit 3
+    # a feature row with a non-finite time or waiting time, a negative vehicle
+    # count, or an attack flag other than 0/1 -> DataError naming the row -> exit 3
     columns = header.split(",")
     bad = tmp_path / "bad.csv"
     for col, value in [("t", "nan"), ("aawt_EB", "nan"), ("awt_EBT", "inf"),
-                       ("attack", "7")]:
+                       ("n_EBL", "-3"), ("up_n_I0_EBT", "-1"), ("attack", "7")]:
         fields = lines[500].split(",")
         fields[columns.index(col)] = value
         bad.write_text("\n".join(lines[:500] + [",".join(fields)] + lines[501:]) + "\n")
@@ -367,8 +369,8 @@ def test_cli_error_exit_codes(run_pair, tmp_path, capsys):
     assert cli_main(["detect", "--model", str(model), "--features", str(a.feature_log),
                      "--out", str(tmp_path / "v.csv")]) == 3
     assert "Traceback" not in capsys.readouterr().err
-    # plot: a bad spec -> ConfigError -> exit 2; an unreadable series CSV ->
-    # DataError -> exit 3
+    # plot: a bad spec (spans included) -> ConfigError -> exit 2; an
+    # unreadable series CSV -> DataError -> exit 3
     table = tmp_path / "t.csv"
     table.write_text("t,y\n0,1\n1,2\n")
     entry = {"name": "a", "csv": str(table), "x": "t", "y": "y"}
@@ -381,9 +383,58 @@ def test_cli_error_exit_codes(run_pair, tmp_path, capsys):
                         "out": svg}, 2),
                       ({"series": [{**entry, "csv": str(tmp_path / "nope.csv")}],
                         "out": svg}, 3),
-                      ({"series": [{**entry, "y": "speed"}], "out": svg}, 3)]:
+                      ({"series": [{**entry, "y": "speed"}], "out": svg}, 3),
+                      ({"series": [entry], "out": svg, "spans": [[0, 1, 2]]}, 2),
+                      ({"series": [entry], "out": svg, "spans": [["a", "b"]]}, 2)]:
         spec.write_text(json.dumps(bad))
         assert cli_main(["plot", "--spec", str(spec)]) == code, bad
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# SHA-256 of the short experiment's files that do not pass through the LSTM;
+# loss and verdict bits depend on the BLAS, so they are not pinned here
+EXPERIMENT_GOLDEN = {
+    "attack_free/features.csv": "c02488ee0526a6d17df6f73f9435e616050079a1bc112264c9dd590fa05f2615",
+    "attack_free/phases.csv": "67375c4232f2c59e54cc689031764f7639f117d985c3883be34a79a29b0023c6",
+    "attack_free/attack.csv": "9660057a7c027de3a4f333b3745e63cbb692a6432c3b30845b9fa23471027307",
+    "attack_free/manifest.json": "a50078aa3afbe36b7162932eb665ce34fce9b6b2e5aca49615ebcb2b68b942e6",
+    "attack/features.csv": "0d2dfda66700dcce4b0f06712808b256636618dd4e6c571866f48a9d3e3713dc",
+    "attack/phases.csv": "7ba4c806e87d437df162a71a46ce7a8701f2acf73163a6104eff2603db4bc8df",
+    "attack/attack.csv": "2d02614a2589b8ffb27c463d392310be627e511cb8fae3954fbb08bfe8508a65",
+    "attack/manifest.json": "25a71b67414bb8c6cc5349cc10c45b8acd2f772b515e273ce46485c8adb492a0",
+    "eb_counts.svg": "a5f874d3c7a2e23d06c0d215d43e6b7bfa2f911666cb05006a96697815aabd39",
+}
+
+
+def test_cli_experiment_writes_every_artifact(tmp_path, capsys):
+    root = Path(__file__).resolve().parents[1]
+    cfg = json.loads((root / "configs" / "experiment.json").read_text())
+    cfg.update(duration=1500.0, warmup=200.0, cooldown=200.0)
+    cfg["attack"]["start"] = 300.0
+    cfg["detector"]["training"]["epochs"] = 2
+    cfg_path = tmp_path / "experiment.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "exp"
+    assert cli_main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text()
+    assert report.startswith("paired slow-injection experiment")
+    assert capsys.readouterr().out == report + "\n"
+
+    modes = ("baseline", "upstream")
+    assert {str(f.relative_to(out)) for f in out.rglob("*") if f.is_file()} == {
+        *EXPERIMENT_GOLDEN, "report.txt", "report.csv",
+        *(f"{kind}_{m}.{ext}" for m in modes
+          for kind, ext in [("loss", "csv"), ("verdicts", "csv"),
+                            ("loss", "svg"), ("error", "svg")])}
+    for svg in out.glob("*.svg"):
+        assert ET.parse(svg).getroot().tag.endswith("svg"), svg
+    with open(out / "report.csv", newline="") as fh:
+        assert [r["mode"] for r in csv.DictReader(fh)] == list(modes)
+    for m in modes:
+        with open(out / f"loss_{m}.csv", newline="") as fh:
+            assert [r["epoch"] for r in csv.DictReader(fh)] == ["1", "2"]
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in EXPERIMENT_GOLDEN} == EXPERIMENT_GOLDEN
 
 
 @pytest.mark.parametrize("script", ["run_default_experiment", "sweep_attack_rates"])
@@ -401,3 +452,18 @@ def test_console_script_entry_point():
     assert out.returncode == 0
     for verb in ("simulate", "train", "detect", "experiment", "plot"):
         assert verb in out.stdout
+
+
+# -- benchmark probes -----------------------------------------------------------
+
+def test_benchmark_probes_resolve(monkeypatch):
+    # `perfbench --trace 1` wraps each probe's owner.attr; one that no longer
+    # resolves silently drops its layer from the trace
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    for probe in spans.PROBES:
+        module, _, cls = probe.owner.partition(":")
+        owner = importlib.import_module(module)
+        if cls:
+            owner = getattr(owner, cls)
+        assert callable(getattr(owner, probe.attr, None)), probe.metric

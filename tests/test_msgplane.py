@@ -1,6 +1,6 @@
 import pytest
 
-from atsclab.atsc import compute_aawt
+from atsclab.atsc import compute_aawt, movement_aawt
 from atsclab.errors import DataError
 from atsclab.microsim import Vehicle
 from atsclab.msgplane import (BsmRecord, FeatureSample, emit_bsm, feature_header,
@@ -96,9 +96,9 @@ def test_missing_turn_intent_rejected(net):
 def test_right_turners_ride_with_through_movement(net):
     stats = node_stream_stats(
         [rec(1.0, "v0", "I1_in_W", "I1_out_N", waiting=4.0)], net, 1.0)["I1"]
-    mc = stats.movement_counts()
-    assert mc[Movement.WBT] == 1
-    assert stats.movement_awt()[Movement.WBT] == 4.0
+    i_wbt = MOVEMENT_ORDER.index(Movement.WBT)
+    assert stats.movement_counts[i_wbt] == 1
+    assert stats.movement_awt[i_wbt] == 4.0
 
 
 def test_count_conservation(net):
@@ -112,7 +112,7 @@ def test_count_conservation(net):
     ]
     stats = node_stream_stats(records, net, 1.0)["I1"]
     on_subject = sum(1 for r in records if net.edges[r.edge_id].to == "I1")
-    assert sum(stats.movement_counts().values()) == on_subject == 5
+    assert sum(stats.movement_counts) == on_subject == 5
 
 
 def test_upstream_features(net):
@@ -189,6 +189,11 @@ def test_one_pass_aggregate_matches_per_node_loop(net):
                     awt += r.waiting
             assert stats[node].counts[c.stream] == count
             assert stats[node].awt[c.stream] == awt
-        aawt = stats[node].movement_aawt()
-        mc, mw = stats[node].movement_counts(), stats[node].movement_awt()
-        assert aawt == {m: compute_aawt(mw[m], mc[m]) for m in MOVEMENT_ORDER}
+        # per movement: right turns folded into their through movement, T + R
+        mc, mw = stats[node].movement_counts, stats[node].movement_awt
+        for i, m in enumerate(MOVEMENT_ORDER):
+            streams = [m] + [s for s in Movement if s.turn == "R" and s.phase is m]
+            assert mc[i] == sum(stats[node].counts[s] for s in streams)
+            assert mw[i] == sum(stats[node].awt[s] for s in streams)
+        assert movement_aawt(mc, mw) == {m: compute_aawt(mw[i], mc[i])
+                                         for i, m in enumerate(MOVEMENT_ORDER)}
