@@ -82,8 +82,11 @@ def _cmd_plot(args) -> int:
             spec = json.load(fh)
         entries = [(s["name"], s["csv"], s["x"], s["y"]) for s in spec["series"]]
         out = spec["out"]
-        style = ChartStyle(title=spec.get("title", ""),
-                           xlabel=spec.get("xlabel", ""), ylabel=spec.get("ylabel", ""))
+        _check_out_dir(out)
+        texts = [spec.get(k, "") for k in ("title", "xlabel", "ylabel")]
+        if not all(isinstance(t, str) for t in texts + [e[0] for e in entries]):
+            raise ValueError("title, axis labels and series names must be strings")
+        style = ChartStyle(*texts)
         spans = [_span(sp) for sp in spec.get("spans", [])]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad plot spec {args.spec}: {exc!r}") from exc

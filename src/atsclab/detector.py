@@ -264,26 +264,47 @@ def save_detector(spec: DetectorSpec, path) -> None:
              **spec.model.state_arrays())
 
 
+def _meta_int(meta: dict, key: str, least: int | None = None) -> int:
+    value = meta[key]
+    if type(value) is not int or (least is not None and value < least):
+        raise DataError(f"checkpoint {key} {value!r} is not an integer"
+                        + ("" if least is None else f" >= {least}"))
+    return value
+
+
+def _meta_number(meta: dict, key: str) -> float:
+    value = meta[key]
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise DataError(f"checkpoint {key} {value!r} is not a finite number")
+    return value
+
+
+def _feature_bounds(data, key: str, dim: int) -> np.ndarray:
+    arr = data[key]
+    if arr.dtype.kind != "f" or arr.shape != (dim,) or not np.isfinite(arr).all():
+        raise DataError(f"checkpoint {key} is not {dim} finite floats")
+    return arr
+
+
 def load_detector(path) -> DetectorSpec:
     try:
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise DataError(f"unsupported checkpoint version {meta.get('version')}")
-            lookback = meta["lookback"]
-            if type(lookback) is not int or lookback < 1:
-                raise DataError(f"checkpoint lookback {lookback!r} is not an integer >= 1")
-            model = LstmRegressor.from_state(meta["input_dim"], meta["hidden1"],
-                                             meta["hidden2"],
+            dim = _meta_int(meta, "input_dim", 1)
+            model = LstmRegressor.from_state(dim, _meta_int(meta, "hidden1", 1),
+                                             _meta_int(meta, "hidden2", 1),
                                              {k: data[k] for k in data.files
                                               if k not in ("meta", "feat_min", "feat_max")})
-            norm = NormalizationSpec(feat_min=data["feat_min"], feat_max=data["feat_max"],
-                                     target_min=meta["target_min"],
-                                     target_max=meta["target_max"])
+            norm = NormalizationSpec(feat_min=_feature_bounds(data, "feat_min", dim),
+                                     feat_max=_feature_bounds(data, "feat_max", dim),
+                                     target_min=_meta_number(meta, "target_min"),
+                                     target_max=_meta_number(meta, "target_max"))
             return DetectorSpec(mode=FeatureMode(meta["mode"]), model=model, norm=norm,
                                 threshold=DetectionThreshold(
-                                    raw=meta["threshold_raw"],
-                                    effective=meta["threshold_effective"]),
-                                lookback=lookback)
+                                    raw=_meta_number(meta, "threshold_raw"),
+                                    effective=_meta_int(meta, "threshold_effective")),
+                                lookback=_meta_int(meta, "lookback", 1))
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot read detector checkpoint {path}: {exc}") from exc

@@ -6,6 +6,7 @@ changing. Red/yellow signals act as a stationary virtual leader at the stop line
 """
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -56,7 +57,7 @@ def krauss_safe_speed(v_follower: float, v_leader: float, gap: float,
     return max(0.0, v_safe)
 
 
-@dataclass
+@dataclass(eq=False)  # an entity: equal only to itself
 class Vehicle:
     vid: str
     provenance: str               # REAL or FAKE; immutable by convention
@@ -114,12 +115,6 @@ def update_waiting(vehicle: Vehicle, cumulative_mode: bool = False) -> None:
         vehicle.waiting = 0.0
 
 
-@dataclass
-class _Deferred:
-    route: list[str]
-    lane: int
-
-
 class World:
     """Mutable simulation state; `step` advances one second."""
 
@@ -141,7 +136,7 @@ class World:
         self.rng = np.random.default_rng(seed)
         self.clock = 0.0
         self.vehicles: dict[str, Vehicle] = {}
-        self.deferred: dict[str, deque[_Deferred]] = {e: deque() for e in net.entries}
+        self.deferred: dict[str, deque[list[str]]] = {e: deque() for e in net.entries}
         self.entered = 0
         self.exited = 0
         self._next_id = 0
@@ -160,7 +155,7 @@ class World:
 
     def occupancy(self, overlay: Iterable[Vehicle] = ()
                   ) -> dict[tuple[str, int], list[Vehicle]]:
-        """Vehicles per (edge, lane), sorted front (largest pos) first.
+        """Vehicles per (edge, lane), front first: largest pos, then smallest vid.
 
         `overlay` vehicles (phantoms) are listed beside the world's own.
         """
@@ -184,15 +179,12 @@ class World:
 
         Net gap is bumper-to-bumper minus the follower's minimum gap for
         physical leaders; for a signal stop it is the distance to the stop line.
+        `vehicle` must be listed in `occ`.
         """
-        same = occ.get((vehicle.edge_id, vehicle.lane), ())
-        ahead = None
-        for w in same:
-            if w.pos > vehicle.pos or (w.pos == vehicle.pos and w.vid < vehicle.vid):
-                ahead = w  # list is front-first, so the last qualifying one is nearest
-            else:
-                break
-        if ahead is not None:
+        same = occ[(vehicle.edge_id, vehicle.lane)]
+        i = same.index(vehicle)
+        if i:
+            ahead = same[i - 1]  # lists are front first: the nearest one ahead
             gap = ahead.pos - ahead.length - vehicle.pos - vehicle.min_gap
             return ahead.speed, gap
 
@@ -257,8 +249,8 @@ class World:
         """Advance one second under the given per-node right-of-way map."""
         p = self.params
         occ = self.occupancy()
-        order = sorted(self.vehicles.values(),
-                       key=lambda v: (v.edge_id, v.lane, -v.pos, v.vid))
+        # (edge, lane, -pos, vid) order: the dawdle draws follow it
+        order = [v for key in sorted(occ) for v in occ[key]]
         new_speed: dict[str, float] = {}
         for v in order:
             v_next = self._next_speed(v, occ, row_map)
@@ -293,16 +285,13 @@ class World:
         exited = []
         for v in overlay:
             v.speed = max(0.0, self._next_speed(v, occ, row_map))
-            key = (v.edge_id, v.lane)
-            occ[key] = [w for w in occ[key] if w is not v]
+            occ[(v.edge_id, v.lane)].remove(v)
             if self._move(v, row_map):
                 exited.append(v)
                 continue
-            # re-sorted even on the same edge: real vehicles ignore overlay
+            # re-placed even on the same edge: real vehicles ignore overlay
             # ones, so an overlay vehicle can pass a real one within a step
-            lane = occ.setdefault((v.edge_id, v.lane), [])
-            lane.append(v)
-            lane.sort(key=_front_first)
+            insort(occ.setdefault((v.edge_id, v.lane), []), v, key=_front_first)
             update_waiting(v, self.cumulative_waiting_mode)
         return exited
 
@@ -323,18 +312,22 @@ class World:
                     break
         return route
 
-    def _insert(self, entry: str, route: list[str], lane: int,
+    def _entry_lane(self, route: list[str]) -> tuple[str, int]:
+        return route[0], self.lane_for(route[0], route[1] if len(route) > 1 else None)
+
+    def _insert(self, route: list[str], speed: float,
                 occ: dict[tuple[str, int], list[Vehicle]],
                 provenance: str = REAL) -> Vehicle:
-        speed = entry_speed(occ.get((entry, lane), ()),
-                            self.net.edges[entry].speed_limit, self.params)
+        """Place a vehicle at the start of its route, at `speed` capped to
+        stop behind the rearmost vehicle of its lane in `occ`."""
+        entry, lane = self._entry_lane(route)
+        queue = occ.setdefault((entry, lane), [])
         v = Vehicle(vid=self._new_id(provenance), provenance=provenance,
                     route=route, route_index=0, lane=lane, pos=0.0,
-                    speed=speed, entry_time=self.clock,
+                    speed=entry_speed(queue, speed, self.params), entry_time=self.clock,
                     length=self.params.vehicle_length, min_gap=self.params.min_gap)
         self.vehicles[v.vid] = v
-        occ.setdefault((entry, lane), []).append(v)
-        occ[(entry, lane)].sort(key=_front_first)
+        insort(queue, v, key=_front_first)
         self.entered += 1
         return v
 
@@ -342,31 +335,22 @@ class World:
         """Bernoulli arrivals per entry; blocked insertions are deferred, never dropped."""
         lam = self.demand_vph / 3600.0
         occ = self.occupancy()
+        p = self.params
         for entry in self.net.entries:
+            limit = self.net.edges[entry].speed_limit
             q = self.deferred[entry]
-            if q:
-                head = q[0]
-                if entry_cell_clear(occ.get((entry, head.lane), ()), self.params):
-                    q.popleft()
-                    self._insert(entry, head.route, head.lane, occ)
+            if q and entry_cell_clear(occ.get(self._entry_lane(q[0]), ()), p):
+                self._insert(q.popleft(), limit, occ)
             if lam > 0 and self.rng.random() < lam:
                 route = self.sample_route(entry)
-                lane = self.lane_for(entry, route[1] if len(route) > 1 else None)
-                if not q and entry_cell_clear(occ.get((entry, lane), ()), self.params):
-                    self._insert(entry, route, lane, occ)
+                if not q and entry_cell_clear(occ.get(self._entry_lane(route), ()), p):
+                    self._insert(route, limit, occ)
                 else:
-                    q.append(_Deferred(route=route, lane=lane))
+                    q.append(route)
 
     # -- attacker-facing -----------------------------------------------------
 
     def inject_vehicle(self, route: list[str], speed: float) -> Vehicle:
-        """Place a fake vehicle at the start of `route[0]` (physical attack mode)."""
-        entry = route[0]
-        lane = self.lane_for(entry, route[1] if len(route) > 1 else None)
-        v = Vehicle(vid=self._new_id(FAKE), provenance=FAKE,
-                    route=route, route_index=0, lane=lane, pos=0.0, speed=speed,
-                    entry_time=self.clock, length=self.params.vehicle_length,
-                    min_gap=self.params.min_gap)
-        self.vehicles[v.vid] = v
-        self.entered += 1
-        return v
+        """Place a fake vehicle at the start of `route[0]` (physical attack
+        mode) at `speed`, uncapped: the attacker has checked the entry."""
+        return self._insert(route, speed, {}, FAKE)

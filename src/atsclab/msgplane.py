@@ -188,6 +188,8 @@ def parse_feature_rows(header: list[str], rows: list[list[str]]) -> list[Feature
             raise DataError(f"feature row {row_no} has a non-finite value")
         if min(counts + ucounts) < 0:
             raise DataError(f"feature row {row_no} has a negative vehicle count")
+        if min(awt + aawt + uawt) < 0:
+            raise DataError(f"feature row {row_no} has a negative waiting time")
         if r[i] not in ("0", "1"):
             raise DataError(f"feature row {row_no}: attack flag {r[i]!r} is not 0 or 1")
         out.append(FeatureSample(t=t, movement_counts=counts,

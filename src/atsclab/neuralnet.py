@@ -205,10 +205,11 @@ class LstmRegressor:
         model = cls(input_dim, hidden1, hidden2, seed=0)
         for name in PARAM_NAMES:
             expected = model.params[name].shape
-            if arrays[name].shape != expected:
-                raise DataError(f"checkpoint {name} has shape {arrays[name].shape}, "
-                                f"expected {expected}")
-            model.params[name] = np.asarray(arrays[name], dtype=float)
+            arr = np.asarray(arrays[name], dtype=float)
+            if arr.shape != expected or not np.isfinite(arr).all():
+                raise DataError(f"checkpoint {name} is not a finite {expected} array "
+                                f"(shape {arr.shape})")
+            model.params[name] = arr
         return model
 
 

@@ -353,14 +353,25 @@ def test_load_rejects_truncated_or_incomplete_checkpoint(tmp_path, fitted):
     bad_mode = tmp_path / "bad_mode.npz"
     np.savez(bad_mode, **{**arrays, "meta": json.dumps(
         {**json.loads(str(arrays["meta"])), "mode": "bogus"})})
-    bad_lookbacks = []
-    for lookback in (0, -3, 2.5, True):
-        path = tmp_path / f"lookback_{lookback}.npz"
-        np.savez(path, **{**arrays, "meta": json.dumps(
-            {**json.loads(str(arrays["meta"])), "lookback": lookback})})
-        bad_lookbacks.append(path)
+    meta = json.loads(str(arrays["meta"]))
+    bad_fields = []
+    for i, (key, value) in enumerate([
+            ("lookback", 0), ("lookback", -3), ("lookback", 2.5), ("lookback", True),
+            ("hidden1", "x"), ("hidden1", 0), ("hidden2", True), ("input_dim", 2.5),
+            ("target_min", "a"), ("target_max", float("nan")),
+            ("threshold_effective", "3"), ("threshold_raw", float("inf"))]):
+        path = tmp_path / f"meta_{i}.npz"
+        np.savez(path, **{**arrays, "meta": json.dumps({**meta, key: value})})
+        bad_fields.append(path)
+    for i, (key, value) in enumerate([
+            ("feat_min", np.zeros(3)), ("feat_max", np.array(["a", "b"])),
+            ("feat_max", np.array([1, 2])), ("feat_min", np.array([0.0, np.inf])),
+            ("Wd", np.full_like(arrays["Wd"], np.nan))]):
+        path = tmp_path / f"array_{i}.npz"
+        np.savez(path, **{**arrays, key: value})
+        bad_fields.append(path)
     for path in (truncated, incomplete, bad_mode, tmp_path / "missing.npz",
-                 *bad_lookbacks):
+                 *bad_fields):
         with pytest.raises(DataError):
             load_detector(path)
 

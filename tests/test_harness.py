@@ -219,16 +219,25 @@ GOLDEN = {
         "attack.csv": "09016f8fa3c7079eefd86374b52b5ed73c65887cdd4ad18b9f820e2cdbdc94e5",
         "manifest.json": "e35bef47676c4aa9d7110822522bf1536239471b458646c527a78ea9ad4a702b",
     },
+    # "<mode>~<vph>": the same 1210 s run at another demand than 150 vph;
+    # at 400 vph lanes queue and entries defer, so the lane order matters
+    "free~400": {
+        "features.csv": "f5f6db07ac4b0ed786ba54735310a1e05d0c0ad9ea69c9b70d799035105d2854",
+        "phases.csv": "d67b007dad902d53ccce8f7a140bf3913d81a0c5d9eec7712e258e98db426be4",
+        "attack.csv": "9660057a7c027de3a4f333b3745e63cbb692a6432c3b30845b9fa23471027307",
+        "manifest.json": "05eff45595a21c00d0f0a0723f87c0bb757573e2f0a99a18c5b4667d07e8f40c",
+    },
 }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_artifacts_match_golden_digests(tmp_path, case):
     run, _, seed = case.partition("#")
-    mode, _, seconds = run.partition("@")
+    run, _, seconds = run.partition("@")
+    mode, _, vph = run.partition("~")
     attack = None if mode == "free" else AttackConfig(mode=AttackMode(mode))
     arts = run_scenario(ScenarioConfig(seed=int(seed or 42), duration=float(seconds or 1210),
-                                       attack=attack), tmp_path)
+                                       demand_vph=float(vph or 150), attack=attack), tmp_path)
     assert (mode == "free") != bool(arts.inject_times)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN[case]}
@@ -346,16 +355,17 @@ def test_cli_error_exit_codes(run_pair, tmp_path, capsys):
     # a negative seed -> ConfigError -> exit 2, before any output
     assert cli_main(["simulate", "--seed", "-5", "--out", str(tmp_path / "neg")]) == 2
     assert not (tmp_path / "neg").exists()
-    # a checkpoint whose lookback is not an integer >= 1 -> DataError -> exit 3
     model = tmp_path / "m.npz"
     assert cli_main(["train", "--features", str(a.feature_log), "--epochs", "1",
                      "--out", str(model)]) == 0
     # a feature row with a non-finite time or waiting time, a negative vehicle
-    # count, or an attack flag other than 0/1 -> DataError naming the row -> exit 3
+    # count or waiting time, or an attack flag other than 0/1 -> DataError
+    # naming the row -> exit 3
     columns = header.split(",")
     bad = tmp_path / "bad.csv"
     for col, value in [("t", "nan"), ("aawt_EB", "nan"), ("awt_EBT", "inf"),
-                       ("n_EBL", "-3"), ("up_n_I0_EBT", "-1"), ("attack", "7")]:
+                       ("n_EBL", "-3"), ("up_n_I0_EBT", "-1"), ("attack", "7"),
+                       ("awt_EBL", "-5"), ("aawt_EB", "-2.5"), ("up_awt_I0_EBT", "-1")]:
         fields = lines[500].split(",")
         fields[columns.index(col)] = value
         bad.write_text("\n".join(lines[:500] + [",".join(fields)] + lines[501:]) + "\n")
@@ -365,12 +375,16 @@ def test_cli_error_exit_codes(run_pair, tmp_path, capsys):
     with np.load(model, allow_pickle=False) as data:
         arrays = {k: data[k] for k in data.files}
     meta = json.loads(str(arrays["meta"]))
-    np.savez(model, **{**arrays, "meta": json.dumps({**meta, "lookback": 0})})
-    assert cli_main(["detect", "--model", str(model), "--features", str(a.feature_log),
-                     "--out", str(tmp_path / "v.csv")]) == 3
+    # a checkpoint whose lookback is not an integer >= 1, or whose target
+    # bounds are not finite -> DataError -> exit 3
+    for key, value in [("lookback", 0), ("target_max", float("nan"))]:
+        np.savez(model, **{**arrays, "meta": json.dumps({**meta, key: value})})
+        assert cli_main(["detect", "--model", str(model), "--features", str(a.feature_log),
+                         "--out", str(tmp_path / "v.csv")]) == 3, key
     assert "Traceback" not in capsys.readouterr().err
-    # plot: a bad spec (spans included) -> ConfigError -> exit 2; an
-    # unreadable series CSV -> DataError -> exit 3
+    # plot: a bad spec (spans, non-string labels and an out in a missing
+    # directory included) -> ConfigError -> exit 2; an unreadable series CSV
+    # -> DataError -> exit 3
     table = tmp_path / "t.csv"
     table.write_text("t,y\n0,1\n1,2\n")
     entry = {"name": "a", "csv": str(table), "x": "t", "y": "y"}
@@ -385,7 +399,13 @@ def test_cli_error_exit_codes(run_pair, tmp_path, capsys):
                         "out": svg}, 3),
                       ({"series": [{**entry, "y": "speed"}], "out": svg}, 3),
                       ({"series": [entry], "out": svg, "spans": [[0, 1, 2]]}, 2),
-                      ({"series": [entry], "out": svg, "spans": [["a", "b"]]}, 2)]:
+                      ({"series": [entry], "out": svg, "spans": [["a", "b"]]}, 2),
+                      ({"series": [entry], "out": svg, "title": 5}, 2),
+                      ({"series": [entry], "out": svg, "xlabel": ["x"]}, 2),
+                      ({"series": [entry], "out": svg, "ylabel": None}, 2),
+                      ({"series": [{**entry, "name": 1}], "out": svg}, 2),
+                      ({"series": [{**entry, "csv": str(tmp_path / "nope.csv")}],
+                        "out": str(missing / "a.svg")}, 2)]:
         spec.write_text(json.dumps(bad))
         assert cli_main(["plot", "--spec", str(spec)]) == code, bad
     assert "Traceback" not in capsys.readouterr().err

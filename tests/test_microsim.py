@@ -271,3 +271,61 @@ def test_route_sampling_reaches_an_exit(net):
             assert net.edges[route[-1]].to is None
             for a, b in zip(route, route[1:]):
                 assert net.stream_of(a, b) is not None
+
+
+# -- lane order ------------------------------------------------------------------
+
+def brute_force_leader(v, lane):
+    """Nearest vehicle ahead of `v` among `lane`, by scanning all of it."""
+    ahead = [w for w in lane
+             if w.pos > v.pos or (w.pos == v.pos and w.vid < v.vid)]
+    return max(ahead, key=lambda w: (-w.pos, w.vid), default=None)
+
+
+def passing_pairs(world, overlay):
+    """(phantom, real) -> phantom ahead, for pairs sharing an edge and lane."""
+    return {(x.vid, r.vid): x.pos > r.pos for x in overlay
+            for r in world.vehicles.values()
+            if (x.edge_id, x.lane) == (r.edge_id, r.lane)}
+
+
+@pytest.mark.parametrize("seed", [3, 8, 21])
+def test_leaders_and_step_order_come_from_the_lane_order(net, monkeypatch, seed):
+    leader_of, next_speed = World.leader_of, World._next_speed
+    found, seen = [], []
+
+    def checked_leader_of(self, v, occ, row_map):
+        lane = occ[(v.edge_id, v.lane)]
+        assert all((w.edge_id, w.lane) == (v.edge_id, v.lane) for w in lane)
+        lead = brute_force_leader(v, lane)
+        got = leader_of(self, v, occ, row_map)
+        if lead is None:
+            alone = {**occ, (v.edge_id, v.lane): [v]}
+            assert got == leader_of(self, v, alone, row_map)
+        else:
+            found.append(lead)
+            assert got == (lead.speed, lead.pos - lead.length - v.pos - v.min_gap)
+        return got
+
+    def recorded_next_speed(self, v, occ, row_map):
+        seen.append((v.edge_id, v.lane, -v.pos, v.vid))
+        return next_speed(self, v, occ, row_map)
+
+    monkeypatch.setattr(World, "leader_of", checked_leader_of)
+    monkeypatch.setattr(World, "_next_speed", recorded_next_speed)
+    world = make_world(net, seed=seed, demand=900.0)
+    overlay, passes = [], 0
+    for t in range(300):
+        row = all_green(net) if (t // 30) % 2 else all_red(net)
+        before = passing_pairs(world, overlay)
+        n = len(world.vehicles)
+        seen.clear()
+        world.step(row)
+        assert len(seen) == n and seen == sorted(seen)
+        if t % 5 == 0:
+            overlay.append(eb_vehicle(f"x{t:05d}", 0.0, 10.0, "fake"))
+        gone = world.step_overlay(overlay, row)
+        overlay = [v for v in overlay if v not in gone]
+        after = passing_pairs(world, overlay)
+        passes += sum(before[k] != ahead for k, ahead in after.items() if k in before)
+    assert len(found) > 10_000 and passes > 0
