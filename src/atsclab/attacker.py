@@ -66,6 +66,10 @@ class AttackConfig:
             raise ConfigError("injection rate must be non-negative")
         if getattr(self.policy, "margin", 0.0) < 0:
             raise ConfigError("margin must be non-negative")
+        # 0 is an entry at rest, 1 an entry at the speed limit
+        if not 0.0 <= self.initial_speed_factor <= 1.0:
+            raise ConfigError(f"initial_speed_factor={self.initial_speed_factor} "
+                              f"is outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,6 @@ class SlowPoisoningAttacker:
         conns = net.connections_from(self.entry_edge)
         through = next(c for c in conns if c.stream.turn == "T")
         self.route = [self.entry_edge, through.out_edge]
-        self.target_movements = (Movement.EBL, Movement.EBT)
         self.last_injection: float | None = None
         self.phantoms: list[Vehicle] = []
         self._phantom_seq = 0
@@ -137,10 +140,9 @@ class SlowPoisoningAttacker:
             return False, "headway"
         if sample is None:
             return False, "no-telemetry"
+        # EBL and EBT, the target approach's movements, lead MOVEMENT_ORDER
         aawt = movement_aawt(sample.movement_counts, sample.movement_awt)
-        target = max(aawt[m] for m in self.target_movements)
-        others = [aawt[m] for m in aawt if m not in self.target_movements]
-        if not injection_warranted(self.cfg.policy, target, max(others)):
+        if not injection_warranted(self.cfg.policy, max(aawt[:2]), max(aawt[2:])):
             return False, "dilution-unneeded"
         return True, "inject"
 

@@ -1,19 +1,15 @@
-"""Command-line entry points: simulate, train, detect, experiment, plot."""
+"""Command-line entry points: simulate, train, detect, experiment."""
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import json
-import math
 import sys
 from pathlib import Path
 
 from .detector import FeatureMode, detect, load_detector, save_detector, train_detector
-from .errors import AtscLabError, ConfigError, DataError
+from .errors import AtscLabError, ConfigError
 from .harness import (ScenarioConfig, default_output_root, load_feature_log,
                       run_experiment, run_scenario, write_verdicts)
-from .svgplot import ChartStyle, Series, render_svg
 
 
 def _cmd_simulate(args) -> int:
@@ -68,42 +64,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _span(sp) -> tuple[float, float]:
-    """One shaded x-interval of a plot spec: a pair of finite numbers."""
-    if not (isinstance(sp, list) and len(sp) == 2
-            and all(type(v) in (int, float) and math.isfinite(v) for v in sp)):
-        raise ValueError(f"span {sp!r} is not a pair of finite numbers")
-    return sp[0], sp[1]
-
-
-def _cmd_plot(args) -> int:
-    try:
-        with open(args.spec) as fh:
-            spec = json.load(fh)
-        entries = [(s["name"], s["csv"], s["x"], s["y"]) for s in spec["series"]]
-        out = spec["out"]
-        _check_out_dir(out)
-        texts = [spec.get(k, "") for k in ("title", "xlabel", "ylabel")]
-        if not all(isinstance(t, str) for t in texts + [e[0] for e in entries]):
-            raise ValueError("title, axis labels and series names must be strings")
-        style = ChartStyle(*texts)
-        spans = [_span(sp) for sp in spec.get("spans", [])]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad plot spec {args.spec}: {exc!r}") from exc
-    series = []
-    for name, path, x, y in entries:
-        try:
-            with open(path, newline="") as fh:
-                rows = list(csv.DictReader(fh))
-            series.append(Series(name, [float(r[x]) for r in rows],
-                                 [float(r[y]) for r in rows]))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise DataError(f"cannot read series {name!r} from {path}: {exc!r}") from exc
-    render_svg(series, out, style, spans=spans)
-    print(f"wrote {out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="atsclab")
     sub = p.add_subparsers(dest="command", required=True)
@@ -132,10 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_experiment)
-
-    s = sub.add_parser("plot", help="render an SVG chart from a plot spec JSON")
-    s.add_argument("--spec", required=True)
-    s.set_defaults(func=_cmd_plot)
     return p
 
 

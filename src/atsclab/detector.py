@@ -197,10 +197,6 @@ class DetectionReport:
     surges: list[tuple[float, float]]
     surges_flagged: list[bool]
 
-    @property
-    def detected(self) -> bool:
-        return self.first_flag is not None
-
 
 def injection_surges(inject_times: list[float], max_gap: float = 30.0,
                      min_span: float = 60.0) -> list[tuple[float, float]]:

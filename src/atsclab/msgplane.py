@@ -13,11 +13,6 @@ from .microsim import Vehicle
 from .roadnet import Heading, Movement, MOVEMENT_ORDER, RoadNetwork, upstream_feeders
 
 APPROACH_LABELS = ("EB", "WB", "NB", "SB")
-# each approach's streams in aggregation order, e.g. EBL, EBT, EBR
-_APPROACH_STREAMS = {a: tuple(s for s in Movement if s.value[:2] == a)
-                     for a in APPROACH_LABELS}
-# (right turn, the movement whose green it moves on)
-_RIGHT_FOLD = tuple((s, s.phase) for s in Movement if s.turn == "R")
 
 
 @dataclass(frozen=True)
@@ -45,28 +40,25 @@ def emit_bsm(vehicle: Vehicle, t: float) -> BsmRecord:
 
 @dataclass
 class NodeStreamStats:
-    """Per-turn-stream vehicle counts and waiting-time sums at one node, and
-    the same per signal movement as 8-tuples in MOVEMENT_ORDER."""
-    counts: dict[Movement, int] = field(default_factory=lambda: dict.fromkeys(Movement, 0))
-    awt: dict[Movement, float] = field(default_factory=lambda: dict.fromkeys(Movement, 0.0))
+    """Per-turn-stream vehicle counts and waiting-time sums at one node in 12
+    slots (`Movement.slot`), and per signal movement as 8-tuples in MOVEMENT_ORDER."""
+    counts: list[int] = field(default_factory=lambda: [0] * 12)
+    awt: list[float] = field(default_factory=lambda: [0.0] * 12)
     movement_counts: tuple[int, ...] = ()
     movement_awt: tuple[float, ...] = ()
 
-    def approach_aawt(self, label: str) -> float:
-        # sums in stream order (EBL, EBT, EBR), not the through fold of
+    def approach_aawt(self, i: int) -> float:
+        # approach i's slots in L, T, R order, not the through fold of
         # _per_movement: logged values are compared bit for bit
-        streams = _APPROACH_STREAMS[label]
-        return compute_aawt(sum(self.awt[s] for s in streams),
-                            sum(self.counts[s] for s in streams))
+        s = slice(3 * i, 3 * i + 3)
+        return compute_aawt(sum(self.awt[s]), sum(self.counts[s]))
 
 
-def _per_movement(per_stream: dict) -> tuple:
-    """Per signal movement in MOVEMENT_ORDER; right-turners ride with their
-    through movement (summed T + R)."""
-    out = {m: per_stream[m] for m in MOVEMENT_ORDER}
-    for right, through in _RIGHT_FOLD:
-        out[through] += per_stream[right]
-    return tuple(out.values())
+def _per_movement(v: list) -> tuple:
+    """Per signal movement in MOVEMENT_ORDER from 12 slots; right-turners ride
+    with their through movement (summed T + R)."""
+    return (v[0], v[1] + v[2], v[3], v[4] + v[5],
+            v[6], v[7] + v[8], v[9], v[10] + v[11])
 
 
 def node_stream_stats(records: list[BsmRecord], net: RoadNetwork,
@@ -85,9 +77,9 @@ def node_stream_stats(records: list[BsmRecord], net: RoadNetwork,
             continue      # on an exit edge, past the last stop line
         if not rec.next_edge:
             raise DataError(f"BSM {rec.vehicle_id}@{rec.t}: no turn intent on an approach")
-        stream = net.stream_of(rec.edge_id, rec.next_edge)
-        at.counts[stream] += 1
-        at.awt[stream] += rec.waiting
+        slot = net.stream_of(rec.edge_id, rec.next_edge).slot
+        at.counts[slot] += 1
+        at.awt[slot] += rec.waiting
     for at in stats.values():
         at.movement_counts = _per_movement(at.counts)
         at.movement_awt = _per_movement(at.awt)
@@ -135,9 +127,9 @@ def sample_features(stats: dict[str, NodeStreamStats], net: RoadNetwork,
         t=t,
         movement_counts=subject.movement_counts,
         movement_awt=subject.movement_awt,
-        approach_aawt=tuple(subject.approach_aawt(a) for a in APPROACH_LABELS),
-        upstream_counts=tuple(stats[n].counts[s] for n, s in feeders),
-        upstream_awt=tuple(stats[n].awt[s] for n, s in feeders),
+        approach_aawt=tuple(subject.approach_aawt(i) for i in range(4)),
+        upstream_counts=tuple(stats[n].counts[s.slot] for n, s in feeders),
+        upstream_awt=tuple(stats[n].awt[s.slot] for n, s in feeders),
         attack_active=attack_active,
     )
 

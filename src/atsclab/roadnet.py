@@ -34,7 +34,8 @@ class Movement(Enum):
 
     `turn` is "L", "T" or "R". `phase` is the signalized movement whose green
     this stream moves on: itself for L and T, and its approach's T for an
-    unsignalized right turn.
+    unsignalized right turn. `slot` is the declaration index 0-11, so the
+    approach at index i (EB, WB, NB, SB) owns slots 3i, 3i+1 and 3i+2.
     """
     EBL = "EBL"
     EBT = "EBT"
@@ -51,6 +52,7 @@ class Movement(Enum):
 
     def __init__(self, label: str) -> None:
         self.turn = label[2]
+        self.slot = len(type(self)._member_names_)
         # an approach's T is declared before its R, so it already exists here
         self.phase = self if self.turn != "R" else type(self)(label[:2] + "T")
 

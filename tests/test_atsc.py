@@ -9,10 +9,11 @@ from atsclab.roadnet import MOVEMENT_ORDER, Movement
 
 
 def table(**kw):
-    t = {m: 0.0 for m in MOVEMENT_ORDER}
+    """Per-movement AAWT as an 8-tuple in MOVEMENT_ORDER; unnamed ones are 0."""
+    t = [0.0] * 8
     for name, v in kw.items():
-        t[Movement[name]] = float(v)
-    return t
+        t[MOVEMENT_ORDER.index(Movement[name])] = float(v)
+    return tuple(t)
 
 
 # -- compute_aawt ------------------------------------------------------------
@@ -55,9 +56,27 @@ def test_all_zero_falls_back_to_first_movement():
 @given(st.lists(st.floats(0, 1000), min_size=8, max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_argmax_scale_invariance(vals):
-    aawt = dict(zip(MOVEMENT_ORDER, vals))
-    scaled = {m: 3.0 * v for m, v in aawt.items()}
+    aawt = tuple(vals)
+    scaled = tuple(3.0 * v for v in vals)
     assert select_green(aawt) is select_green(scaled)
+
+
+def keyed_select_green(aawt, current):
+    """The green rule over a dict keyed by movement: the incumbent if it holds
+    the maximum, else the first movement in MOVEMENT_ORDER that does."""
+    by_movement = dict(zip(MOVEMENT_ORDER, aawt))
+    best = max(by_movement.values())
+    if current is not None and by_movement[current] == best:
+        return current
+    return next(m for m in MOVEMENT_ORDER if by_movement[m] == best)
+
+
+# values from {0, 1, 2} make ties, with and without the incumbent, common
+@given(st.tuples(*[st.sampled_from((0.0, 1.0, 2.0))] * 8),
+       st.none() | st.sampled_from(MOVEMENT_ORDER))
+@settings(max_examples=300, deadline=None)
+def test_select_green_matches_keyed_rule(aawt, current):
+    assert select_green(aawt, current) is keyed_select_green(aawt, current)
 
 
 # -- right_of_way ------------------------------------------------------------

@@ -295,7 +295,7 @@ def test_detection_report_latency_example():
     ]
     rep = detection_report(verdicts, inject_times=[1000.0 + 10 * k for k in range(10)],
                            attack_start=1000.0)
-    assert rep.detected
+    assert rep.first_flag is not None
     assert rep.first_flag == 1005.0
     assert rep.latency == 5.0
     assert rep.false_positives == 0
@@ -318,7 +318,7 @@ def test_detection_report_counts_pre_start_flags_as_false_positives():
 
 def test_detection_report_undetected():
     rep = detection_report([DetectionVerdict_like(10.0, False)], [], attack_start=5.0)
-    assert not rep.detected
+    assert rep.first_flag is None
     assert rep.latency is None
 
 

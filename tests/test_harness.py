@@ -64,6 +64,8 @@ def test_dt_must_divide_the_one_second_grid():
     {"duration": 300.5},
     {"detector": {"mode": "upstream"}},
     {"geometry": {"pocket_length": 0}},
+    {"attack": {"initial_speed_factor": -1}},
+    {"attack": {"initial_speed_factor": 100}},
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, bad):
     path = tmp_path / "cfg.json"
@@ -227,6 +229,14 @@ GOLDEN = {
         "attack.csv": "9660057a7c027de3a4f333b3745e63cbb692a6432c3b30845b9fa23471027307",
         "manifest.json": "05eff45595a21c00d0f0a0723f87c0bb757573e2f0a99a18c5b4667d07e8f40c",
     },
+    # "<mode>+cum": the same 1210 s run with cumulative_waiting on, the one
+    # knob that changes how the waits the message plane sums are built up
+    "physical+cum": {
+        "features.csv": "ed7fc19c8540bde6b572f67b6f9c05efef005b3037af410637e3aed57aab933d",
+        "phases.csv": "91e08f575888e1a9bd26240d5f2b3c66dbbcd38d8641da1032de8b04e890b07a",
+        "attack.csv": "87a828974f7e59dd998bc8fd50dbe558ae17fb9cc8a3e74f670655657904a58c",
+        "manifest.json": "5b9cfe32e9f94a62a2661c19ad54316e9d06a36dc263fde813277523ad26986d",
+    },
 }
 
 
@@ -234,10 +244,12 @@ GOLDEN = {
 def test_artifacts_match_golden_digests(tmp_path, case):
     run, _, seed = case.partition("#")
     run, _, seconds = run.partition("@")
+    run, cum, _ = run.partition("+cum")
     mode, _, vph = run.partition("~")
     attack = None if mode == "free" else AttackConfig(mode=AttackMode(mode))
     arts = run_scenario(ScenarioConfig(seed=int(seed or 42), duration=float(seconds or 1210),
-                                       demand_vph=float(vph or 150), attack=attack), tmp_path)
+                                       demand_vph=float(vph or 150), attack=attack,
+                                       cumulative_waiting=bool(cum)), tmp_path)
     assert (mode == "free") != bool(arts.inject_times)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN[case]}
@@ -273,7 +285,7 @@ def test_svg_rejects_empty_series(tmp_path):
 
 # -- CLI ----------------------------------------------------------------------
 
-def test_cli_simulate_train_detect_plot(tmp_path, capsys):
+def test_cli_simulate_train_detect(tmp_path, capsys):
     cfg = short_cfg()
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg.to_dict()))
@@ -294,14 +306,6 @@ def test_cli_simulate_train_detect_plot(tmp_path, capsys):
                      "--out", str(verdicts)]) == 0
     assert verdicts.read_text().splitlines()[0] == \
         "t,observed,predicted,abs_error,threshold,flagged"
-
-    plot_spec = tmp_path / "plot.json"
-    plot_spec.write_text(json.dumps({
-        "out": str(tmp_path / "plot.svg"), "title": "errors",
-        "series": [{"name": "err", "csv": str(verdicts),
-                    "x": "t", "y": "abs_error"}]}))
-    assert cli_main(["plot", "--spec", str(plot_spec)]) == 0
-    assert (tmp_path / "plot.svg").exists()
 
 
 def test_cli_train_rejects_nonpositive_epochs(run_pair, tmp_path, capsys):
@@ -382,33 +386,6 @@ def test_cli_error_exit_codes(run_pair, tmp_path, capsys):
         assert cli_main(["detect", "--model", str(model), "--features", str(a.feature_log),
                          "--out", str(tmp_path / "v.csv")]) == 3, key
     assert "Traceback" not in capsys.readouterr().err
-    # plot: a bad spec (spans, non-string labels and an out in a missing
-    # directory included) -> ConfigError -> exit 2; an unreadable series CSV
-    # -> DataError -> exit 3
-    table = tmp_path / "t.csv"
-    table.write_text("t,y\n0,1\n1,2\n")
-    entry = {"name": "a", "csv": str(table), "x": "t", "y": "y"}
-    svg = str(tmp_path / "a.svg")
-    spec = tmp_path / "spec.json"
-    assert cli_main(["plot", "--spec", str(spec)]) == 2          # no spec file
-    for bad, code in [({"out": svg}, 2),
-                      ({"series": [entry]}, 2),
-                      ({"series": [{"name": "a", "csv": str(table), "y": "y"}],
-                        "out": svg}, 2),
-                      ({"series": [{**entry, "csv": str(tmp_path / "nope.csv")}],
-                        "out": svg}, 3),
-                      ({"series": [{**entry, "y": "speed"}], "out": svg}, 3),
-                      ({"series": [entry], "out": svg, "spans": [[0, 1, 2]]}, 2),
-                      ({"series": [entry], "out": svg, "spans": [["a", "b"]]}, 2),
-                      ({"series": [entry], "out": svg, "title": 5}, 2),
-                      ({"series": [entry], "out": svg, "xlabel": ["x"]}, 2),
-                      ({"series": [entry], "out": svg, "ylabel": None}, 2),
-                      ({"series": [{**entry, "name": 1}], "out": svg}, 2),
-                      ({"series": [{**entry, "csv": str(tmp_path / "nope.csv")}],
-                        "out": str(missing / "a.svg")}, 2)]:
-        spec.write_text(json.dumps(bad))
-        assert cli_main(["plot", "--spec", str(spec)]) == code, bad
-    assert "Traceback" not in capsys.readouterr().err
 
 
 # SHA-256 of the short experiment's files that do not pass through the LSTM;
@@ -470,7 +447,7 @@ def test_console_script_entry_point():
     out = subprocess.run([sys.executable, "-m", "atsclab.cli", "--help"],
                          capture_output=True, text=True)
     assert out.returncode == 0
-    for verb in ("simulate", "train", "detect", "experiment", "plot"):
+    for verb in ("simulate", "train", "detect", "experiment"):
         assert verb in out.stdout
 
 

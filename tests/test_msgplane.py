@@ -90,7 +90,7 @@ def test_missing_turn_intent_rejected(net):
             node_stream_stats([rec(1.0, "v0", edge, "")], net, 1.0)
     # past the last stop line no turn intent is needed, and nothing is counted
     stats = node_stream_stats([rec(1.0, "v0", "I1_out_E", "")], net, 1.0)
-    assert all(sum(s.counts.values()) == 0 for s in stats.values())
+    assert all(sum(s.counts) == 0 for s in stats.values())
 
 
 def test_right_turners_ride_with_through_movement(net):
@@ -187,13 +187,13 @@ def test_one_pass_aggregate_matches_per_node_loop(net):
                         net.stream_of(r.edge_id, r.next_edge) is c.stream:
                     count += 1
                     awt += r.waiting
-            assert stats[node].counts[c.stream] == count
-            assert stats[node].awt[c.stream] == awt
+            assert stats[node].counts[c.stream.slot] == count
+            assert stats[node].awt[c.stream.slot] == awt
         # per movement: right turns folded into their through movement, T + R
         mc, mw = stats[node].movement_counts, stats[node].movement_awt
         for i, m in enumerate(MOVEMENT_ORDER):
             streams = [m] + [s for s in Movement if s.turn == "R" and s.phase is m]
-            assert mc[i] == sum(stats[node].counts[s] for s in streams)
-            assert mw[i] == sum(stats[node].awt[s] for s in streams)
-        assert movement_aawt(mc, mw) == {m: compute_aawt(mw[i], mc[i])
-                                         for i, m in enumerate(MOVEMENT_ORDER)}
+            assert mc[i] == sum(stats[node].counts[s.slot] for s in streams)
+            assert mw[i] == sum(stats[node].awt[s.slot] for s in streams)
+        assert movement_aawt(mc, mw) == tuple(compute_aawt(mw[i], mc[i])
+                                              for i in range(8))

@@ -1,6 +1,7 @@
 import pytest
 
 from atsclab.errors import ConfigError, DataError
+from atsclab.msgplane import APPROACH_LABELS
 from atsclab.roadnet import (GeometryConfig, Heading, MOVEMENT_ORDER, Movement,
                              build_arterial_network, stream_for_headings,
                              upstream_feeders)
@@ -147,3 +148,9 @@ def test_movement_enum_shape():
     assert set(MOVEMENT_ORDER) == {m for m in Movement if m.turn != "R"}
     assert [m.value for m in MOVEMENT_ORDER] == \
         ["EBL", "EBT", "WBL", "WBT", "NBL", "NBT", "SBL", "SBT"]
+    # a stream's slot is its declaration index: approach i in APPROACH_LABELS
+    # order owns slots 3i, 3i+1 and 3i+2, its L, T and R
+    assert [m.slot for m in Movement] == list(range(12))
+    for i, label in enumerate(APPROACH_LABELS):
+        for j, turn in enumerate("LTR"):
+            assert Movement(label + turn).slot == 3 * i + j
