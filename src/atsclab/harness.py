@@ -249,15 +249,19 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
 
         vehicles = sorted(world.vehicles.values(), key=lambda v: v.vid)
         real_records = [emit_bsm(v, t) for v in vehicles]
-        records = real_records + attacker.fake_bsms(t) if phantom else real_records
-        stats = msgplane.node_stream_stats(records, net, t)
+        control_stats = msgplane.node_stream_stats(real_records, net, t)
+        if phantom:
+            # the monitored aggregate: the real one continued with the fakes
+            fakes = attacker.fake_bsms(t)
+            records = real_records + fakes
+            stats = msgplane.node_stream_stats(fakes, net, t, base=control_stats)
+        else:
+            records, stats = real_records, control_stats
         attack_active = attack_start_abs is not None and t >= attack_start_abs
         sample = sample_features(stats, net, feeders, t, attack_active=attack_active)
         samples.append(sample)
         last_sample = sample
 
-        control_stats = (msgplane.node_stream_stats(real_records, net, t)
-                         if phantom else stats)
         for n, ctrl in controllers.items():
             at = control_stats[n]
             aawt = atsc.movement_aawt(at.movement_counts, at.movement_awt)

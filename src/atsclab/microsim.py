@@ -172,19 +172,18 @@ class World:
             return None
         return self.net.stream_of(vehicle.edge_id, nxt)
 
-    def leader_of(self, vehicle: Vehicle,
+    def leader_of(self, vehicle: Vehicle, ahead: Vehicle | None,
                   occ: dict[tuple[str, int], list[Vehicle]],
-                  row_map: dict[str, frozenset[Movement]]) -> tuple[float, float] | None:
+                  row_map: Mapping[str, frozenset[Movement]]) -> tuple[float, float] | None:
         """(leader speed, net gap) for the nearest constraint ahead, or None.
 
-        Net gap is bumper-to-bumper minus the follower's minimum gap for
-        physical leaders; for a signal stop it is the distance to the stop line.
-        `vehicle` must be listed in `occ`.
+        `ahead` is the vehicle just before `vehicle` in its lane, or None when
+        it leads the lane; only a lane's front vehicle looks past it, at the
+        stop line and at the next edge's lane in `occ`. Net gap is
+        bumper-to-bumper minus the follower's minimum gap for physical
+        leaders; for a signal stop it is the distance to the stop line.
         """
-        same = occ[(vehicle.edge_id, vehicle.lane)]
-        i = same.index(vehicle)
-        if i:
-            ahead = same[i - 1]  # lists are front first: the nearest one ahead
+        if ahead is not None:
             gap = ahead.pos - ahead.length - vehicle.pos - vehicle.min_gap
             return ahead.speed, gap
 
@@ -212,15 +211,15 @@ class World:
 
     # -- per-step dynamics ---------------------------------------------------
 
-    def _next_speed(self, v: Vehicle,
+    def _next_speed(self, v: Vehicle, limit: float, ahead: Vehicle | None,
                     occ: dict[tuple[str, int], list[Vehicle]],
                     row_map: Mapping[str, frozenset[Movement]]) -> float:
         """Speed for the coming step before dawdle: accelerate, cap at the
-        speed limit, then at the Krauss safe speed behind the leader."""
+        lane's speed `limit`, then at the Krauss safe speed behind the
+        leader (`leader_of`)."""
         p = self.params
-        v_next = min(v.speed + p.max_accel,
-                     self.net.edges[v.edge_id].speed_limit)
-        lead = self.leader_of(v, occ, row_map)
+        v_next = min(v.speed + p.max_accel, limit)
+        lead = self.leader_of(v, ahead, occ, row_map)
         if lead is not None:
             v_next = min(v_next, krauss_safe_speed(v.speed, lead[0], lead[1], p))
         return v_next
@@ -248,19 +247,28 @@ class World:
     def step(self, row_map: dict[str, frozenset[Movement]]) -> None:
         """Advance one second under the given per-node right-of-way map."""
         p = self.params
+        edges = self.net.edges
         occ = self.occupancy()
-        # (edge, lane, -pos, vid) order: the dawdle draws follow it
-        order = [v for key in sorted(occ) for v in occ[key]]
-        new_speed: dict[str, float] = {}
-        for v in order:
-            v_next = self._next_speed(v, occ, row_map)
-            if p.dawdle > 0:
-                eta = self.rng.random()
-                v_next -= p.dawdle * p.max_accel * eta
-            new_speed[v.vid] = max(0.0, v_next)
+        # (edge, lane, -pos, vid) order: the dawdle draws follow it, and
+        # each vehicle's leader is the one before it in its lane
+        order: list[Vehicle] = []
+        new_speed: list[float] = []
+        for key in sorted(occ):
+            lane = occ[key]
+            limit = edges[key[0]].speed_limit
+            ahead = None
+            for v in lane:
+                new_speed.append(self._next_speed(v, limit, ahead, occ, row_map))
+                ahead = v
+            order += lane
+        if p.dawdle > 0:
+            # one call gives the same doubles as one scalar draw per vehicle
+            scale = p.dawdle * p.max_accel
+            etas = self.rng.random(len(order)).tolist()
+            new_speed = [s - scale * eta for s, eta in zip(new_speed, etas)]
 
-        for v in order:
-            v.speed = new_speed[v.vid]
+        for v, speed in zip(order, new_speed):
+            v.speed = max(0.0, speed)
             if self._move(v, row_map):
                 self.exited += 1
                 del self.vehicles[v.vid]
@@ -269,7 +277,12 @@ class World:
             update_waiting(v, self.cumulative_waiting_mode)
 
         self.clock += 1.0
-        self.spawn_arrivals()
+        # only arrivals enter an entry edge, so its lanes now hold what they
+        # held at the start of the step, less the vehicles that left them
+        entry_lanes = {key: sorted([v for v in lane if v.route_index == 0
+                                    and v.vid in self.vehicles], key=_front_first)
+                       for key, lane in occ.items() if edges[key[0]].frm is None}
+        self.spawn_arrivals(entry_lanes)
 
     def step_overlay(self, overlay: list[Vehicle],
                      row_map: Mapping[str, frozenset[Movement]]) -> list[Vehicle]:
@@ -284,8 +297,13 @@ class World:
         occ = self.occupancy(overlay)
         exited = []
         for v in overlay:
-            v.speed = max(0.0, self._next_speed(v, occ, row_map))
-            occ[(v.edge_id, v.lane)].remove(v)
+            # the lanes change as overlay vehicles move: find the leader by index
+            lane = occ[(v.edge_id, v.lane)]
+            i = lane.index(v)
+            limit = self.net.edges[v.edge_id].speed_limit
+            v.speed = max(0.0, self._next_speed(v, limit, lane[i - 1] if i else None,
+                                                occ, row_map))
+            del lane[i]
             if self._move(v, row_map):
                 exited.append(v)
                 continue
@@ -331,20 +349,23 @@ class World:
         self.entered += 1
         return v
 
-    def spawn_arrivals(self) -> None:
-        """Bernoulli arrivals per entry; blocked insertions are deferred, never dropped."""
+    def spawn_arrivals(self, lanes: dict[tuple[str, int], list[Vehicle]]) -> None:
+        """Bernoulli arrivals per entry; blocked insertions are deferred, never dropped.
+
+        `lanes` holds the vehicles on each occupied entry lane, front first
+        as `occupancy` lists them; inserted vehicles are added to it.
+        """
         lam = self.demand_vph / 3600.0
-        occ = self.occupancy()
         p = self.params
         for entry in self.net.entries:
             limit = self.net.edges[entry].speed_limit
             q = self.deferred[entry]
-            if q and entry_cell_clear(occ.get(self._entry_lane(q[0]), ()), p):
-                self._insert(q.popleft(), limit, occ)
+            if q and entry_cell_clear(lanes.get(self._entry_lane(q[0]), ()), p):
+                self._insert(q.popleft(), limit, lanes)
             if lam > 0 and self.rng.random() < lam:
                 route = self.sample_route(entry)
-                if not q and entry_cell_clear(occ.get(self._entry_lane(route), ()), p):
-                    self._insert(route, limit, occ)
+                if not q and entry_cell_clear(lanes.get(self._entry_lane(route), ()), p):
+                    self._insert(route, limit, lanes)
                 else:
                     q.append(route)
 

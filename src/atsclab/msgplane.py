@@ -1,11 +1,14 @@
 """Telemetry boundary: per-second BSM records and the per-node feature samples
 derived from them. The controller and detector only ever see this stream, which
-makes it the attack surface — fake records are indistinguishable from real ones.
+makes it the attack surface. A fake record has the same fields as a real one,
+but the first letter of its vehicle id gives its provenance away: fakes are
+indistinguishable only in the per-second aggregate.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .atsc import compute_aawt
 from .errors import DataError
@@ -15,8 +18,7 @@ from .roadnet import Heading, Movement, MOVEMENT_ORDER, RoadNetwork, upstream_fe
 APPROACH_LABELS = ("EB", "WB", "NB", "SB")
 
 
-@dataclass(frozen=True)
-class BsmRecord:
+class BsmRecord(NamedTuple):
     """One vehicle's broadcast at one sampling instant.
 
     `next_edge` stands in for the turn intent a real BSM conveys through lane
@@ -32,10 +34,8 @@ class BsmRecord:
 
 
 def emit_bsm(vehicle: Vehicle, t: float) -> BsmRecord:
-    return BsmRecord(t=t, vehicle_id=vehicle.vid, edge_id=vehicle.edge_id,
-                     lane_pos=vehicle.pos, speed=vehicle.speed,
-                     waiting=vehicle.waiting,
-                     next_edge=vehicle.next_edge_id or "")
+    return BsmRecord(t, vehicle.vid, vehicle.edge_id, vehicle.pos, vehicle.speed,
+                     vehicle.waiting, vehicle.next_edge_id or "")
 
 
 @dataclass
@@ -61,23 +61,37 @@ def _per_movement(v: list) -> tuple:
             v[6], v[7] + v[8], v[9], v[10] + v[11])
 
 
-def node_stream_stats(records: list[BsmRecord], net: RoadNetwork,
-                      t: float) -> dict[str, NodeStreamStats]:
+def node_stream_stats(records: list[BsmRecord], net: RoadNetwork, t: float,
+                      base: dict[str, NodeStreamStats] | None = None
+                      ) -> dict[str, NodeStreamStats]:
     """Aggregate one second's records over the approaches of every
-    intersection in a single pass."""
-    stats = {n: NodeStreamStats() for n in net.nodes}
+    intersection in a single pass.
+
+    With `base`, the sums continue from a copy of that aggregate, so the
+    result is the aggregate of base's records followed by `records`, bit for
+    bit; `base` itself is left unchanged.
+    """
+    if base is None:
+        stats = {n: NodeStreamStats() for n in net.nodes}
+    else:
+        stats = {n: NodeStreamStats(list(s.counts), list(s.awt)) for n, s in base.items()}
+    turn_slot = net.turn_slot
     for rec in records:
         if rec.t != t:
             raise DataError(f"record {rec.vehicle_id} at t={rec.t}, expected {t}")
-        edge = net.edges.get(rec.edge_id)
-        if edge is None:
-            raise DataError(f"BSM {rec.vehicle_id}@{rec.t}: unknown edge {rec.edge_id!r}")
-        at = stats.get(edge.to)
-        if at is None:
-            continue      # on an exit edge, past the last stop line
-        if not rec.next_edge:
-            raise DataError(f"BSM {rec.vehicle_id}@{rec.t}: no turn intent on an approach")
-        slot = net.stream_of(rec.edge_id, rec.next_edge).slot
+        hit = turn_slot.get((rec.edge_id, rec.next_edge))
+        if hit is None:
+            edge = net.edges.get(rec.edge_id)
+            if edge is None:
+                raise DataError(f"BSM {rec.vehicle_id}@{rec.t}: unknown edge {rec.edge_id!r}")
+            if edge.to is None:
+                continue      # on an exit edge, past the last stop line
+            if not rec.next_edge:
+                raise DataError(f"BSM {rec.vehicle_id}@{rec.t}: no turn intent on an approach")
+            raise DataError(f"BSM {rec.vehicle_id}@{rec.t}: no connection "
+                            f"{rec.edge_id} -> {rec.next_edge}")
+        node, slot = hit
+        at = stats[node]
         at.counts[slot] += 1
         at.awt[slot] += rec.waiting
     for at in stats.values():

@@ -90,13 +90,20 @@ class Connection:
     stream: Movement
 
 
+# m/s; the fastest speed limit a road may have. At 30 m/s the stopping
+# distance at the default 4.5 m/s^2 deceleration is 100 m, the whole of the
+# microsim's leader lookahead.
+MAX_SPEED_LIMIT = 30.0
+
+
 @dataclass(frozen=True)
 class GeometryConfig:
     """Arterial geometry.
 
-    The microsim drives one through lane and one full-length left-turn pocket
-    per approach, so `through_lanes` must be 1 and `pocket_length` positive;
-    both stay only as manifest keys until the next benchmark re-record.
+    `speed_limit` lies in (0, MAX_SPEED_LIMIT] m/s. The microsim drives one
+    through lane and one full-length left-turn pocket per approach, so
+    `through_lanes` must be 1 and `pocket_length` positive; both stay only as
+    manifest keys until the next benchmark re-record.
     """
     intersections: int = 2
     leg_length: float = 300.0
@@ -110,8 +117,9 @@ class GeometryConfig:
             raise ConfigError("need at least one intersection")
         if self.leg_length <= 0 or self.link_length <= 0:
             raise ConfigError("edge lengths must be positive")
-        if self.speed_limit <= 0:
-            raise ConfigError("speed limit must be positive")
+        if not 0 < self.speed_limit <= MAX_SPEED_LIMIT:
+            raise ConfigError(f"speed_limit={self.speed_limit} m/s is outside "
+                              f"(0, {MAX_SPEED_LIMIT}]")
         if self.through_lanes != 1:
             raise ConfigError(f"through_lanes={self.through_lanes}: the microsim "
                               f"drives exactly one through lane")
@@ -128,9 +136,13 @@ class RoadNetwork:
     subject_node: str
     _conn_index: dict[tuple[str, str], Connection] = field(init=False, repr=False)
     _out_by_in: dict[str, list[Connection]] = field(init=False, repr=False)
+    # (in edge, out edge) -> (node, Movement.slot) for every connection
+    turn_slot: dict[tuple[str, str], tuple[str, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._conn_index = {(c.in_edge, c.out_edge): c for c in self.connections}
+        self.turn_slot = {key: (self.edges[c.in_edge].to, c.stream.slot)
+                          for key, c in self._conn_index.items()}
         self._out_by_in = {}
         for c in self.connections:
             self._out_by_in.setdefault(c.in_edge, []).append(c)

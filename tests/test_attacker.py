@@ -248,7 +248,7 @@ def test_fake_bsms_look_like_regular_records(net):
     (b,) = atk.fake_bsms(0.0)
     assert b.edge_id == atk.entry_edge
     assert b.next_edge == atk.route[1]
-    assert set(b.__dataclass_fields__) == set(BsmRecord.__dataclass_fields__)
+    assert type(b) is BsmRecord and b._fields == BsmRecord._fields
 
 
 # -- physical mode ------------------------------------------------------------

@@ -66,6 +66,8 @@ def test_dt_must_divide_the_one_second_grid():
     {"geometry": {"pocket_length": 0}},
     {"attack": {"initial_speed_factor": -1}},
     {"attack": {"initial_speed_factor": 100}},
+    {"geometry": {"speed_limit": 1e6}},
+    {"geometry": {"speed_limit": 30.000001}},
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, bad):
     path = tmp_path / "cfg.json"

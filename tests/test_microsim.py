@@ -294,22 +294,24 @@ def test_leaders_and_step_order_come_from_the_lane_order(net, monkeypatch, seed)
     leader_of, next_speed = World.leader_of, World._next_speed
     found, seen = [], []
 
-    def checked_leader_of(self, v, occ, row_map):
+    def checked_leader_of(self, v, ahead, occ, row_map):
         lane = occ[(v.edge_id, v.lane)]
         assert all((w.edge_id, w.lane) == (v.edge_id, v.lane) for w in lane)
         lead = brute_force_leader(v, lane)
-        got = leader_of(self, v, occ, row_map)
+        assert ahead is lead
+        got = leader_of(self, v, ahead, occ, row_map)
         if lead is None:
             alone = {**occ, (v.edge_id, v.lane): [v]}
-            assert got == leader_of(self, v, alone, row_map)
+            assert got == leader_of(self, v, None, alone, row_map)
         else:
             found.append(lead)
             assert got == (lead.speed, lead.pos - lead.length - v.pos - v.min_gap)
         return got
 
-    def recorded_next_speed(self, v, occ, row_map):
+    def recorded_next_speed(self, v, limit, ahead, occ, row_map):
+        assert limit == net.edges[v.edge_id].speed_limit
         seen.append((v.edge_id, v.lane, -v.pos, v.vid))
-        return next_speed(self, v, occ, row_map)
+        return next_speed(self, v, limit, ahead, occ, row_map)
 
     monkeypatch.setattr(World, "leader_of", checked_leader_of)
     monkeypatch.setattr(World, "_next_speed", recorded_next_speed)
@@ -329,3 +331,35 @@ def test_leaders_and_step_order_come_from_the_lane_order(net, monkeypatch, seed)
         after = passing_pairs(world, overlay)
         passes += sum(before[k] != ahead for k, ahead in after.items() if k in before)
     assert len(found) > 10_000 and passes > 0
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_spawn_gets_the_entry_lanes_occupancy_would_build(net, monkeypatch, seed):
+    spawn, checked = World.spawn_arrivals, []
+
+    def checked_spawn(self, lanes):
+        built = {k: vs for k, vs in self.occupancy().items()
+                 if net.edges[k[0]].frm is None}
+        assert {k: vs for k, vs in lanes.items() if vs} == built
+        checked.append(sum(map(len, built.values())))
+        return spawn(self, lanes)
+
+    monkeypatch.setattr(World, "spawn_arrivals", checked_spawn)
+    world = make_world(net, seed=seed, demand=900.0)
+    for t in range(300):
+        world.step(all_green(net) if (t // 30) % 2 else all_red(net))
+    assert len(checked) == 300 and max(checked) > 10
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_one_batched_draw_equals_scalar_draws(seed):
+    """`World.step` draws every dawdle in one call; PCG64 gives the doubles
+    one scalar draw per vehicle would, also between other draws."""
+    one, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert batched.random(1000).tolist() == [one.random() for _ in range(1000)]
+    split = [0.7, 0.15, 0.15]
+    for n in (0, 1, 17, 300):
+        assert batched.random(n).tolist() == [one.random() for _ in range(n)]
+        assert batched.choice(3, p=split) == one.choice(3, p=split)
+        assert batched.random() == one.random()
+    assert batched.bit_generator.state == one.bit_generator.state

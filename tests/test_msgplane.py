@@ -93,6 +93,39 @@ def test_missing_turn_intent_rejected(net):
     assert all(sum(s.counts) == 0 for s in stats.values())
 
 
+def test_turn_intent_that_is_no_connection_rejected(net):
+    # link_I0_I1_E ends at I1, while I0_out_W leaves I0
+    with pytest.raises(DataError):
+        node_stream_stats([rec(1.0, "v0", "link_I0_I1_E", "I0_out_W")], net, 1.0)
+
+
+def bits(stats):
+    return {n: (s.counts, [x.hex() for x in s.awt], s.movement_counts,
+                [x.hex() for x in s.movement_awt]) for n, s in stats.items()}
+
+
+def test_phantom_second_aggregates_once(net):
+    """The controllers' aggregate is the real records'; the monitored one
+    continues it with the fakes and equals the aggregate of real + fakes bit
+    for bit. The EBT waits sum to three different doubles in the orders
+    real + fakes, fakes + real and sum(real) + sum(fakes)."""
+    real = [rec(1.0, f"r{i}", edge, nxt, waiting=w)
+            for i, (edge, nxt, w) in enumerate([
+                ("link_I0_I1_E", "I1_out_E", 57.4), ("link_I0_I1_E", "I1_out_S", 7.3),
+                ("link_I0_I1_E", "I1_out_E", 0.3), ("I1_in_W", "I1_out_N", 1 / 3),
+                ("I0_in_E", "link_I0_I1_E", 2.2), ("I1_out_E", "", 0.0),
+                ("link_I0_I1_E", "I1_out_E", 47.0)])]
+    fakes = [rec(1.0, f"x{i}", "link_I0_I1_E", "I1_out_E", waiting=w)
+             for i, w in enumerate([49.2, 53.2])]
+    control = node_stream_stats(real, net, 1.0)
+    before = bits(control)
+    monitored = node_stream_stats(fakes, net, 1.0, base=control)
+    assert bits(control) == before == bits(node_stream_stats(real, net, 1.0))
+    assert bits(monitored) == bits(node_stream_stats(real + fakes, net, 1.0))
+    assert monitored["I1"].counts[Movement.EBT.slot] == 5
+    assert monitored["I1"].awt[Movement.EBT.slot] == 207.09999999999997
+
+
 def test_right_turners_ride_with_through_movement(net):
     stats = node_stream_stats(
         [rec(1.0, "v0", "I1_in_W", "I1_out_N", waiting=4.0)], net, 1.0)["I1"]

@@ -2,8 +2,8 @@ import pytest
 
 from atsclab.errors import ConfigError, DataError
 from atsclab.msgplane import APPROACH_LABELS
-from atsclab.roadnet import (GeometryConfig, Heading, MOVEMENT_ORDER, Movement,
-                             build_arterial_network, stream_for_headings,
+from atsclab.roadnet import (MAX_SPEED_LIMIT, GeometryConfig, Heading, MOVEMENT_ORDER,
+                             Movement, build_arterial_network, stream_for_headings,
                              upstream_feeders)
 
 
@@ -41,6 +41,22 @@ def test_zero_length_edge_rejected():
 def test_negative_speed_rejected():
     with pytest.raises(ConfigError):
         build_arterial_network(GeometryConfig(speed_limit=-1.0))
+
+
+def test_speed_limit_range():
+    build_arterial_network(GeometryConfig(speed_limit=MAX_SPEED_LIMIT))
+    for limit in (0.0, MAX_SPEED_LIMIT + 1e-9, 1e6):
+        with pytest.raises(ConfigError):
+            build_arterial_network(GeometryConfig(speed_limit=limit))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_turn_slot_table_matches_stream_of(k):
+    net = build_arterial_network(GeometryConfig(intersections=k))
+    assert len(net.turn_slot) == len(net.connections)
+    for c in net.connections:
+        assert net.turn_slot[(c.in_edge, c.out_edge)] == (
+            net.edges[c.in_edge].to, net.stream_of(c.in_edge, c.out_edge).slot)
 
 
 def test_every_signalized_node_has_all_streams(net):
