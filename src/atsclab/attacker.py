@@ -152,7 +152,8 @@ class SlowPoisoningAttacker:
     def _entry_clear(self, world: World) -> bool:
         """Whether a fake may enter now, given real vehicles and phantoms
         (there are none in physical mode, where fakes are in the world)."""
-        lane = world.occupancy(self.phantoms).get((self.entry_edge, THROUGH_LANE), [])
+        lane = world.occupancy(self.phantoms, {self.entry_edge}).get(
+            (self.entry_edge, THROUGH_LANE), [])
         return can_insert(lane, self._initial_speed(), self.params)
 
     # -- physical mode -------------------------------------------------------

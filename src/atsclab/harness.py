@@ -4,7 +4,9 @@ logging, experiment orchestration and plot emission.
 Loop order each second: world step -> attacker callback -> feature sampling ->
 controller tick. All artifact CSVs carry a header row, fixed column order and
 17-significant-digit floats, so identical (config, seed) pairs produce
-byte-identical files.
+byte-identical files. The per-vehicle logs `bsm.csv` and `trajectories.csv` are
+written as the run goes, each second's rows before the next second starts, so
+memory stays flat at any duration; the other artifacts are written at the end.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -194,6 +197,22 @@ class RunArtifacts:
                                  # EB approach over the analysis window, s
 
 
+@contextmanager
+def _streamed_log(path: Path | None, header: str):
+    """The file of a per-vehicle log written as the run goes; None without `path`."""
+    if path is None:
+        yield None
+        return
+    part = path.with_suffix(".part")    # becomes `path` once the block completes
+    try:
+        with open(part, "w", newline="") as fh:
+            fh.write(header)
+            yield fh
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)    # a run that raised leaves no partial log
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -226,60 +245,63 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
 
     samples: list[FeatureSample] = []
     phase_rows: list[list[str]] = []
-    bsm_rows: list[list[str]] = []
-    traj_rows: list[list[str]] = []
     eb_real_waiting = 0.0
     last_sample: FeatureSample | None = None
+    bsm_log = out / "bsm.csv" if cfg.log_bsm else None
+    trajectory_log = out / "trajectories.csv" if cfg.log_trajectories else None
+    with (_streamed_log(bsm_log, "t,vehicle_id,edge_id,lane_pos,speed,waiting,"
+                                 "next_edge\n") as bsm,
+          _streamed_log(trajectory_log, "t,vehicle_id,edge_id,lane,pos,speed\n") as traj):
+        for k in range(1, int(cfg.duration) + 1):
+            t = float(k)
+            world.step(row_map)
 
-    for k in range(1, int(cfg.duration) + 1):
-        t = float(k)
-        world.step(row_map)
+            in_analysis = cfg.analysis_start <= t < cfg.analysis_end
+            if in_analysis:
+                for v in world.vehicles.values():
+                    if (v.provenance == REAL and v.edge_id == eb_edge
+                            and v.speed <= WAITING_SPEED):
+                        eb_real_waiting += 1.0
 
-        in_analysis = cfg.analysis_start <= t < cfg.analysis_end
-        if in_analysis:
-            for v in world.vehicles.values():
-                if (v.provenance == REAL and v.edge_id == eb_edge
-                        and v.speed <= WAITING_SPEED):
-                    eb_real_waiting += 1.0
+            if phantom:
+                attacker.on_second_phantom(t, world, last_sample, row_map)
+            elif attacker is not None:
+                attacker.on_second_physical(t, world, last_sample)
 
-        if phantom:
-            attacker.on_second_phantom(t, world, last_sample, row_map)
-        elif attacker is not None:
-            attacker.on_second_physical(t, world, last_sample)
+            vehicles = sorted(world.vehicles.values(), key=lambda v: v.vid)
+            real_records = [emit_bsm(v, t) for v in vehicles]
+            control_stats = msgplane.node_stream_stats(real_records, net, t)
+            if phantom:
+                # the monitored aggregate: the real one continued with the fakes
+                fakes = attacker.fake_bsms(t)
+                records = real_records + fakes
+                stats = msgplane.node_stream_stats(fakes, net, t, base=control_stats)
+            else:
+                records, stats = real_records, control_stats
+            attack_active = attack_start_abs is not None and t >= attack_start_abs
+            sample = sample_features(stats, net, feeders, t, attack_active=attack_active)
+            samples.append(sample)
+            last_sample = sample
 
-        vehicles = sorted(world.vehicles.values(), key=lambda v: v.vid)
-        real_records = [emit_bsm(v, t) for v in vehicles]
-        control_stats = msgplane.node_stream_stats(real_records, net, t)
-        if phantom:
-            # the monitored aggregate: the real one continued with the fakes
-            fakes = attacker.fake_bsms(t)
-            records = real_records + fakes
-            stats = msgplane.node_stream_stats(fakes, net, t, base=control_stats)
-        else:
-            records, stats = real_records, control_stats
-        attack_active = attack_start_abs is not None and t >= attack_start_abs
-        sample = sample_features(stats, net, feeders, t, attack_active=attack_active)
-        samples.append(sample)
-        last_sample = sample
+            ft = fmt(t)
+            for n, ctrl in controllers.items():
+                at = control_stats[n]
+                aawt = atsc.movement_aawt(at.movement_counts, at.movement_awt)
+                row_map[n] = ctrl.tick(aawt, t)
+                rec = ctrl.record(t)
+                phase_rows.append([ft, n, rec.kind.value,
+                                   rec.movement.value if rec.movement else "",
+                                   fmt(rec.seconds_in_phase)])
 
-        for n, ctrl in controllers.items():
-            at = control_stats[n]
-            aawt = atsc.movement_aawt(at.movement_counts, at.movement_awt)
-            row_map[n] = ctrl.tick(aawt, t)
-            rec = ctrl.record(t)
-            phase_rows.append([fmt(t), n, rec.kind.value,
-                               rec.movement.value if rec.movement else "",
-                               fmt(rec.seconds_in_phase)])
-
-        if cfg.log_bsm:
-            for r in records:
-                bsm_rows.append([fmt(r.t), r.vehicle_id, r.edge_id, fmt(r.lane_pos),
-                                 fmt(r.speed), fmt(r.waiting), r.next_edge])
-        if cfg.log_trajectories:
-            for v in vehicles:
-                if v.provenance == REAL:
-                    traj_rows.append([fmt(t), v.vid, v.edge_id, str(v.lane),
-                                      fmt(v.pos), fmt(v.speed)])
+            # one line per row: `:.17g` is `fmt`, and no field needs csv quoting
+            if bsm is not None:
+                bsm.write("".join([f"{ft},{vid},{edge},{pos:.17g},{speed:.17g},"
+                                   f"{wait:.17g},{nxt}\n"
+                                   for _, vid, edge, pos, speed, wait, nxt in records]))
+            if traj is not None:
+                traj.write("".join([f"{ft},{v.vid},{v.edge_id},{v.lane},{v.pos:.17g},"
+                                    f"{v.speed:.17g}\n"
+                                    for v in vehicles if v.provenance == REAL]))
 
     feature_log = out / "features.csv"
     _write_csv(feature_log, msgplane.feature_header(net),
@@ -292,16 +314,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
     _write_csv(attack_log, ["t", "fake_id", "action", "mode", "policy_state"],
                [[fmt(e.t), e.fake_id, e.action, e.mode, e.policy_state]
                 for e in events])
-    bsm_log = None
-    if cfg.log_bsm:
-        bsm_log = out / "bsm.csv"
-        _write_csv(bsm_log, ["t", "vehicle_id", "edge_id", "lane_pos", "speed",
-                             "waiting", "next_edge"], bsm_rows)
-    trajectory_log = None
-    if cfg.log_trajectories:
-        trajectory_log = out / "trajectories.csv"
-        _write_csv(trajectory_log, ["t", "vehicle_id", "edge_id", "lane", "pos",
-                                    "speed"], traj_rows)
 
     manifest = out / "manifest.json"
     with open(manifest, "w") as fh:

@@ -10,7 +10,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -153,15 +153,19 @@ class World:
             return POCKET_LANE
         return THROUGH_LANE
 
-    def occupancy(self, overlay: Iterable[Vehicle] = ()
+    def occupancy(self, overlay: Iterable[Vehicle] = (),
+                  edges: Container[str] | None = None
                   ) -> dict[tuple[str, int], list[Vehicle]]:
         """Vehicles per (edge, lane), front first: largest pos, then smallest vid.
 
-        `overlay` vehicles (phantoms) are listed beside the world's own.
+        `overlay` vehicles (phantoms) are listed beside the world's own. With
+        `edges`, only the lanes of those edges are built.
         """
         occ: dict[tuple[str, int], list[Vehicle]] = {}
         for v in chain(self.vehicles.values(), overlay):
-            occ.setdefault((v.edge_id, v.lane), []).append(v)
+            edge = v.route[v.route_index]   # `edge_id`, without a property call
+            if edges is None or edge in edges:
+                occ.setdefault((edge, v.lane), []).append(v)
         for vs in occ.values():
             vs.sort(key=_front_first)
         return occ
@@ -292,9 +296,10 @@ class World:
         They move one after another in the given order under the same
         car-following rules as real vehicles, without dawdle, so nothing is
         drawn from `rng`. Their leaders may be real or overlay vehicles; real
-        vehicles never see them, and the world itself is left unchanged.
+        vehicles never see them, and the world itself is left unchanged. A
+        vehicle reads only lanes of its own route, so only those are built.
         """
-        occ = self.occupancy(overlay)
+        occ = self.occupancy(overlay, {e for v in overlay for e in v.route})
         exited = []
         for v in overlay:
             # the lanes change as overlay vehicles move: find the leader by index

@@ -1,20 +1,26 @@
 import csv
+import gc
 import hashlib
 import importlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from atsclab.attacker import AttackConfig, AttackMode
+from atsclab import harness
+from atsclab.attacker import AttackConfig, AttackMode, FixedRatePolicy
 from atsclab.cli import main as cli_main
-from atsclab.errors import ConfigError
+from atsclab.errors import ConfigError, DataError
 from atsclab.harness import ScenarioConfig, fmt, load_feature_log, run_scenario
+from atsclab.msgplane import sample_features
+from atsclab.roadnet import GeometryConfig, build_arterial_network
 from atsclab.svgplot import ChartStyle, Series, render_svg
 
 
@@ -107,6 +113,37 @@ def test_analysis_window_bounds():
 def test_fmt_is_bit_stable():
     for x in (0.1, 1 / 3, 123456.789, 2.0):
         assert float(fmt(x)) == x
+
+
+_CSV_SPECIAL = set(',"\r\n')
+
+
+def test_one_line_log_rows_match_the_csv_writer(tmp_path):
+    # the per-vehicle logs format each row in one f-string, with no csv
+    # quoting: that equals the csv writer's row of `fmt` fields only if
+    # `:.17g` is `fmt` and no text field needs quoting
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.floats(min_value=-1e-300, max_value=1e-300),
+                     st.integers(0, 10 ** 6).map(float),
+                     st.integers(-2 ** 70, 2 ** 70),
+                     st.sampled_from([-0.0, 5e-324, 2.2250738585072009e-308])))
+    def formats_like_fmt(x):
+        assert f"{x:.17g}" == fmt(x)
+
+    formats_like_fmt()
+    for n in (1, 2, 3):
+        net = build_arterial_network(GeometryConfig(intersections=n))
+        assert not [e for e in net.edges if _CSV_SPECIAL & set(e)]
+    ids = set()
+    for mode in (AttackMode.PHYSICAL, AttackMode.PHANTOM):
+        attack = AttackConfig(start=0.0, mode=mode, policy=FixedRatePolicy(720.0))
+        arts = run_scenario(short_cfg(duration=400.0, log_bsm=True, attack=attack),
+                            tmp_path / mode.value)
+        with open(arts.bsm_log, newline="") as fh:
+            ids |= {row[1] for row in list(csv.reader(fh))[1:]}
+    assert {i[0] for i in ids} == {"r", "f", "x"}
+    assert not [i for i in ids if _CSV_SPECIAL & set(i)]
 
 
 # -- run_scenario -------------------------------------------------------------
@@ -256,6 +293,58 @@ def test_artifacts_match_golden_digests(tmp_path, case):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN[case]}
     assert digests == GOLDEN[case]
+
+
+# SHA-256 of the per-vehicle logs of GOLDEN's free, physical and phantom runs
+# with both logs on, recorded while they were still buffered and written at
+# the end of the run; streaming them must leave these bytes unchanged
+LOG_GOLDEN = {
+    "free": {
+        "bsm.csv": "798689651932685723a04dadb48b3da5b8471beba6e41b00cc4750b3da09287f",
+        "trajectories.csv": "d5900264b55f4a0bede971586d82fb92cb7f425fc161b380877b4b1ffcd86e3b",
+    },
+    "physical": {
+        "bsm.csv": "607c8944b0807232e7e445226682368900d397cc8359338276546b3a5539162e",
+        "trajectories.csv": "b7c079230d6e9263dfa160aea60e547ae357b814242fff902139539364947d4d",
+    },
+    "phantom": {
+        "bsm.csv": "9d3c4dfac0b21226bc0455f98b273d93c09f6055fedeee25aee353ee779047be",
+        # real vehicles never see phantoms: the same trajectories as free
+        "trajectories.csv": "d5900264b55f4a0bede971586d82fb92cb7f425fc161b380877b4b1ffcd86e3b",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(LOG_GOLDEN))
+def test_logs_match_golden_digests_and_leave_other_artifacts_alone(tmp_path, mode):
+    attack = None if mode == "free" else AttackConfig(mode=AttackMode(mode))
+    arts = run_scenario(ScenarioConfig(seed=42, duration=1210.0, attack=attack,
+                                       log_bsm=True, log_trajectories=True), tmp_path)
+    assert (arts.bsm_log, arts.trajectory_log) == (tmp_path / "bsm.csv",
+                                                   tmp_path / "trajectories.csv")
+    # GOLDEN[mode] pins the same run with the logs off
+    expected = {**LOG_GOLDEN[mode],
+                **{name: GOLDEN[mode][name]
+                   for name in ("features.csv", "phases.csv", "attack.csv")}}
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in expected} == expected
+
+
+def test_failed_run_leaves_no_partial_log(tmp_path, monkeypatch):
+    def fail_at_50(stats, net, feeders, t, attack_active):
+        if t == 50.0:
+            raise DataError("injected failure at t = 50 s")
+        return sample_features(stats, net, feeders, t, attack_active=attack_active)
+
+    monkeypatch.setattr(harness, "sample_features", fail_at_50)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(DataError, match="t = 50 s"):
+            run_scenario(short_cfg(log_bsm=True, log_trajectories=True), out)
+        gc.collect()    # an unclosed handle warns when it is finalized
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert list(out.iterdir()) == []
 
 
 # -- SVG ----------------------------------------------------------------------
