@@ -7,11 +7,13 @@ a short profile so the whole pipeline finishes in a couple of minutes.
 """
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from atsclab.attacker import AttackConfig, AttackMode, ControllerAwarePolicy
 from atsclab.errors import AtscLabError
-from atsclab.harness import ScenarioConfig, run_experiment
+from atsclab.harness import DetectorSettings, ScenarioConfig, run_experiment
+from atsclab.neuralnet import TrainingConfig
 
 
 def main() -> int:
@@ -25,15 +27,16 @@ def main() -> int:
                     help="100-epoch training profile")
     args = ap.parse_args()
 
-    cfg = ScenarioConfig(seed=args.seed,
-                         attack=AttackConfig(mode=AttackMode(args.mode),
-                                             policy=ControllerAwarePolicy()))
-    if args.quick:
-        cfg.detector.training.epochs = 100
-    if args.epochs is not None:
-        cfg.detector.training.epochs = args.epochs
-
-    try:
+    training = TrainingConfig()
+    try:    # a bad --seed or --epochs is a ConfigError here, before any run
+        if args.quick:
+            training = replace(training, epochs=100)
+        if args.epochs is not None:
+            training = replace(training, epochs=args.epochs)
+        cfg = ScenarioConfig(seed=args.seed,
+                             attack=AttackConfig(mode=AttackMode(args.mode),
+                                                 policy=ControllerAwarePolicy()),
+                             detector=DetectorSettings(training=training))
         report_txt = run_experiment(cfg, Path(args.out))
     except AtscLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,12 +31,20 @@ class AttackMode(Enum):
 class FixedRatePolicy:
     rate_vph: float = 360.0
 
+    def __post_init__(self) -> None:
+        if self.rate_vph < 0:
+            raise ConfigError("injection rate must be non-negative")
+
 
 @dataclass(frozen=True)
 class ControllerAwarePolicy:
     """Inject only when the target approach is close to winning green."""
     margin: float = 0.5          # s/veh
     max_rate_vph: float = 360.0
+
+    def __post_init__(self) -> None:
+        if self.margin < 0 or self.max_rate_vph < 0:
+            raise ConfigError("margin and injection rate must be non-negative")
 
 
 def injection_rate(policy: FixedRatePolicy | ControllerAwarePolicy) -> float:
@@ -46,7 +54,7 @@ def injection_rate(policy: FixedRatePolicy | ControllerAwarePolicy) -> float:
     return policy.max_rate_vph
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackConfig:
     start: float = 400.0                  # s, relative to analysis-window start
     target_approach: str = "EB"
@@ -60,12 +68,10 @@ class AttackConfig:
     def __post_init__(self) -> None:
         if self.start < 0:
             raise ConfigError("attack start must be non-negative")
+        if self.target_approach != "EB":
+            raise ConfigError("only the subject EB approach is supported as a target")
         if self.max_concurrent < 1 or self.min_headway <= 0:
             raise ConfigError("bad attack caps")
-        if injection_rate(self.policy) < 0:
-            raise ConfigError("injection rate must be non-negative")
-        if getattr(self.policy, "margin", 0.0) < 0:
-            raise ConfigError("margin must be non-negative")
         # 0 is an entry at rest, 1 an entry at the speed limit
         if not 0.0 <= self.initial_speed_factor <= 1.0:
             raise ConfigError(f"initial_speed_factor={self.initial_speed_factor} "
@@ -105,8 +111,6 @@ class SlowPoisoningAttacker:
 
     def __init__(self, cfg: AttackConfig, net: RoadNetwork,
                  params: CarFollowingParams, start_offset: float = 0.0) -> None:
-        if cfg.target_approach != "EB":
-            raise ConfigError("only the subject EB approach is supported as a target")
         self.cfg = cfg
         self.net = net
         self.params = params

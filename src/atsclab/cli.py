@@ -15,7 +15,7 @@ from .harness import (ScenarioConfig, default_output_root, load_feature_log,
 def _cmd_simulate(args) -> int:
     cfg = ScenarioConfig.from_json(args.config) if args.config else ScenarioConfig()
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     out = Path(args.out) if args.out else default_output_root() / "simulate"
     arts = run_scenario(cfg, out)
     print(f"wrote {arts.feature_log}")

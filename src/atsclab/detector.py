@@ -284,7 +284,8 @@ def _feature_bounds(data, key: str, dim: int) -> np.ndarray:
 
 def load_detector(path) -> DetectorSpec:
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # np.load leaks a file it opened itself when the zip is unreadable
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise DataError(f"unsupported checkpoint version {meta.get('version')}")

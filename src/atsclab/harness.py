@@ -1,6 +1,9 @@
 """Scenario configuration, the per-second simulation loop, deterministic CSV
 logging, experiment orchestration and plot emission.
 
+Config classes are frozen dataclasses that check their values when built: a
+config that constructs is one that runs, and `dataclasses.replace` checks a variant.
+
 Loop order each second: world step -> attacker callback -> feature sampling ->
 controller tick. All artifact CSVs carry a header row, fixed column order and
 17-significant-digit floats, so identical (config, seed) pairs produce
@@ -16,7 +19,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -26,7 +29,7 @@ from .attacker import (AttackConfig, AttackMode, ControllerAwarePolicy,
 from .detector import (DetectorSpec, FeatureMode, detect, detection_report,
                        train_detector)
 from .errors import ConfigError, DataError
-from .microsim import REAL, WAITING_SPEED, CarFollowingParams, World
+from .microsim import DEFAULT_TURN_SPLIT, REAL, WAITING_SPEED, CarFollowingParams, World
 from .msgplane import FeatureSample, emit_bsm, sample_features
 from .neuralnet import TrainingConfig
 from .roadnet import GeometryConfig, Heading, build_arterial_network
@@ -41,7 +44,7 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorSettings:
     """`mode` must be "baseline": experiments train both feature modes. It
     stays only as a manifest key until the next benchmark re-record
@@ -55,9 +58,11 @@ class DetectorSettings:
         if self.mode != "baseline":
             raise ConfigError(f"detector.mode={self.mode!r} is not read; "
                               f"experiments train both feature modes")
+        if self.hidden1 < 1 or self.hidden2 < 1:
+            raise ConfigError("detector hidden1 and hidden2 must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """One closed-loop run, stepped once per second for `duration` seconds.
     `dt` must be 1.0; it stays only as a manifest key until the next
@@ -68,8 +73,7 @@ class ScenarioConfig:
     cooldown: float = 600.0
     dt: float = 1.0
     demand_vph: float = 150.0
-    turn_split: dict = field(default_factory=lambda: {"through": 0.70, "left": 0.15,
-                                                      "right": 0.15})
+    turn_split: dict = field(default_factory=lambda: dict(DEFAULT_TURN_SPLIT))
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     car_following: CarFollowingParams = field(default_factory=CarFollowingParams)
     attack: AttackConfig | None = None
@@ -78,7 +82,7 @@ class ScenarioConfig:
     log_bsm: bool = False
     log_trajectories: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.seed < 0:
             raise ConfigError(f"seed={self.seed} must be non-negative")
         if self.dt != 1.0:
@@ -89,6 +93,13 @@ class ScenarioConfig:
             raise ConfigError("warm-up and cool-down must be non-negative")
         if self.warmup + self.cooldown >= self.duration:
             raise ConfigError("warm-up plus cool-down must leave an analysis window")
+        if self.demand_vph < 0:
+            raise ConfigError("demand must be non-negative")
+        shares = self.turn_split.values()
+        if (set(self.turn_split) != {"through", "left", "right"}
+                or not all(isinstance(p, (int, float)) and p >= 0 for p in shares)
+                or abs(sum(shares) - 1.0) > 1e-9):
+            raise ConfigError("turn split needs through/left/right shares >= 0 summing to 1")
 
     @property
     def analysis_start(self) -> float:
@@ -184,12 +195,6 @@ def _same_type(value, default) -> bool:
 @dataclass
 class RunArtifacts:
     feature_log: Path
-    phase_log: Path
-    attack_log: Path
-    bsm_log: Path | None
-    trajectory_log: Path | None
-    manifest: Path
-    samples: list[FeatureSample]
     analysis_samples: list[FeatureSample]
     inject_times: list[float]
     attack_start_abs: float | None
@@ -222,7 +227,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
     """Execute the full closed loop and write every artifact under `out_dir`."""
-    cfg.validate()
     net = build_arterial_network(cfg.geometry)
     world = World(net, cfg.car_following, cfg.demand_vph, cfg.turn_split,
                   seed=cfg.seed, cumulative_waiting_mode=cfg.cumulative_waiting)
@@ -233,7 +237,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
                                       start_offset=cfg.analysis_start)
                 if cfg.attack is not None else None)
     attack_start_abs = attacker.start_abs if attacker is not None else None
-    out = Path(out_dir)       # made once every config check has passed
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     eb_edge = net.approach_edge(net.subject_node, Heading.EAST)
@@ -306,17 +310,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
     feature_log = out / "features.csv"
     _write_csv(feature_log, msgplane.feature_header(net),
                [msgplane.feature_row(s, fmt) for s in samples])
-    phase_log = out / "phases.csv"
-    _write_csv(phase_log, ["t", "node", "phase", "movement", "seconds_in_phase"],
+    _write_csv(out / "phases.csv", ["t", "node", "phase", "movement", "seconds_in_phase"],
                phase_rows)
-    attack_log = out / "attack.csv"
     events = attacker.events if attacker is not None else []
-    _write_csv(attack_log, ["t", "fake_id", "action", "mode", "policy_state"],
+    _write_csv(out / "attack.csv", ["t", "fake_id", "action", "mode", "policy_state"],
                [[fmt(e.t), e.fake_id, e.action, e.mode, e.policy_state]
                 for e in events])
 
-    manifest = out / "manifest.json"
-    with open(manifest, "w") as fh:
+    with open(out / "manifest.json", "w") as fh:
         json.dump({"config": cfg.to_dict(), "config_hash": cfg.config_hash(),
                    "seed": cfg.seed,
                    "entered": world.entered, "exited": world.exited},
@@ -326,10 +327,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
     analysis = [s for s in samples
                 if cfg.analysis_start <= s.t < cfg.analysis_end]
     inject_times = [e.t for e in events if e.action == "inject"]
-    return RunArtifacts(feature_log=feature_log, phase_log=phase_log,
-                        attack_log=attack_log, bsm_log=bsm_log,
-                        trajectory_log=trajectory_log, manifest=manifest,
-                        samples=samples, analysis_samples=analysis,
+    return RunArtifacts(feature_log=feature_log, analysis_samples=analysis,
                         inject_times=inject_times,
                         attack_start_abs=attack_start_abs,
                         eb_real_waiting=eb_real_waiting)
@@ -366,8 +364,7 @@ def run_experiment(cfg: ScenarioConfig, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    free_cfg = ScenarioConfig.from_dict({**cfg.to_dict(), "attack": None})
-    free = run_scenario(free_cfg, out / "attack_free")
+    free = run_scenario(replace(cfg, attack=None), out / "attack_free")
     attacked = run_scenario(cfg, out / "attack")
 
     tcfg = cfg.detector.training

@@ -25,8 +25,10 @@ POCKET_LANE = 1
 REAL = "real"
 FAKE = "fake"
 
+DEFAULT_TURN_SPLIT = {"through": 0.70, "left": 0.15, "right": 0.15}
 
-@dataclass
+
+@dataclass(frozen=True)
 class CarFollowingParams:
     max_accel: float = 2.6        # m/s^2
     max_decel: float = 4.5        # m/s^2
@@ -116,22 +118,16 @@ def update_waiting(vehicle: Vehicle, cumulative_mode: bool = False) -> None:
 
 
 class World:
-    """Mutable simulation state; `step` advances one second."""
+    """Mutable simulation state; `step` advances one second. Demand and turn
+    split (None for DEFAULT_TURN_SPLIT) come checked by `ScenarioConfig`."""
 
     def __init__(self, net: RoadNetwork, params: CarFollowingParams,
                  demand_vph: float, turn_split: dict[str, float] | None,
                  seed: int, cumulative_waiting_mode: bool = False) -> None:
-        if demand_vph < 0:
-            raise ConfigError("demand must be non-negative")
         self.net = net
         self.params = params
         self.demand_vph = demand_vph
-        self.turn_split = dict(turn_split or {"through": 0.70, "left": 0.15, "right": 0.15})
-        shares = self.turn_split.values()
-        if (set(self.turn_split) != {"through", "left", "right"}
-                or not all(isinstance(p, (int, float)) and p >= 0 for p in shares)
-                or abs(sum(shares) - 1.0) > 1e-9):
-            raise ConfigError("turn split needs through/left/right shares >= 0 summing to 1")
+        self.turn_split = dict(turn_split or DEFAULT_TURN_SPLIT)
         self.cumulative_waiting_mode = cumulative_waiting_mode
         self.rng = np.random.default_rng(seed)
         self.clock = 0.0

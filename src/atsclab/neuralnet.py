@@ -15,7 +15,7 @@ from .errors import ConfigError, DataError, NumericError
 PARAM_NAMES = ("W1", "U1", "b1", "W2", "U2", "b2", "Wd", "bd")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingConfig:
     epochs: int = 1000
     batch_size: int = 50

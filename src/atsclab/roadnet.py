@@ -112,7 +112,7 @@ class GeometryConfig:
     through_lanes: int = 1
     pocket_length: float = 50.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.intersections < 1:
             raise ConfigError("need at least one intersection")
         if self.leg_length <= 0 or self.link_length <= 0:
@@ -182,7 +182,6 @@ def build_arterial_network(cfg: GeometryConfig | None = None) -> RoadNetwork:
     left-turn pockets at every approach, peripheral entry/exit edges elsewhere.
     """
     cfg = cfg or GeometryConfig()
-    cfg.validate()
     k = cfg.intersections
 
     edges: dict[str, Edge] = {}

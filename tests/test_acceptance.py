@@ -19,7 +19,7 @@ from conftest import CRITERION_LINES
 from atsclab.attacker import AttackConfig, AttackMode
 from atsclab.detector import (FeatureMode, detect, detection_report,
                               train_detector)
-from atsclab.harness import ScenarioConfig, fmt, run_scenario
+from atsclab.harness import ScenarioConfig, fmt, load_feature_log, run_scenario
 from atsclab.microsim import CarFollowingParams, Vehicle, World
 from atsclab.neuralnet import LstmRegressor, TrainingConfig, PARAM_NAMES
 from atsclab.roadnet import MOVEMENT_ORDER, build_arterial_network
@@ -95,7 +95,7 @@ def test_criterion_01_aawt_oracle_equivalence(out_root):
     to_node = {e.id: e.to for e in net.edges.values()}
 
     per_t = defaultdict(lambda: (defaultdict(int), defaultdict(float)))
-    with open(arts.bsm_log, newline="") as fh:
+    with open(arts.feature_log.with_name("bsm.csv"), newline="") as fh:
         for row in csv.DictReader(fh):
             if to_node[row["edge_id"]] != net.subject_node:
                 continue
@@ -135,7 +135,7 @@ def test_criterion_01_aawt_oracle_equivalence(out_root):
 
 def test_criterion_02_signal_legality(free_run):
     segs = defaultdict(list)   # node -> [phase, t_first, t_last, movement]
-    with open(free_run.phase_log, newline="") as fh:
+    with open(free_run.feature_log.with_name("phases.csv"), newline="") as fh:
         for r in csv.DictReader(fh):
             n = r["node"]
             if segs[n] and segs[n][-1][0] == r["phase"] and \
@@ -158,7 +158,7 @@ def test_criterion_02_signal_legality(free_run):
 
     # exactly one phase record (hence at most one green movement) per node-second
     rows_per_sec = defaultdict(int)
-    with open(free_run.phase_log, newline="") as fh:
+    with open(free_run.feature_log.with_name("phases.csv"), newline="") as fh:
         for r in csv.DictReader(fh):
             rows_per_sec[(r["node"], r["t"])] += 1
     multi = [k for k, v in rows_per_sec.items() if v != 1]
@@ -182,7 +182,7 @@ def test_criterion_03_microsim_safety(out_root):
         arts = run_scenario(cfg, out_root / f"safety_{seed}")
         runs += 1
         by_slot = defaultdict(list)
-        with open(arts.trajectory_log, newline="") as fh:
+        with open(arts.feature_log.with_name("trajectories.csv"), newline="") as fh:
             for r in csv.DictReader(fh):
                 by_slot[(r["t"], r["edge_id"], r["lane"])].append(float(r["pos"]))
         length = cfg.car_following.vehicle_length
@@ -225,7 +225,8 @@ def test_criterion_04_determinism(out_root):
     a = run_scenario(make_cfg(), out_root / "det_a")
     b = run_scenario(make_cfg(), out_root / "det_b")
     feat_eq = a.feature_log.read_bytes() == b.feature_log.read_bytes()
-    phase_eq = a.phase_log.read_bytes() == b.phase_log.read_bytes()
+    phase_eq = (a.feature_log.with_name("phases.csv").read_bytes()
+                == b.feature_log.with_name("phases.csv").read_bytes())
 
     spec, _, _ = train_detector(a.analysis_samples, FeatureMode.BASELINE,
                                 TrainingConfig(epochs=2, seed=0))
@@ -387,12 +388,12 @@ def test_criterion_09_zero_false_positives(detectors, free_run):
 # -- criterion 10: phantom-mode purity ----------------------------------------
 
 def test_criterion_10_phantom_purity(free_run, phantom_run):
-    traj_eq = (free_run.trajectory_log.read_bytes()
-               == phantom_run.trajectory_log.read_bytes())
+    traj_eq = (free_run.feature_log.with_name("trajectories.csv").read_bytes()
+               == phantom_run.feature_log.with_name("trajectories.csv").read_bytes())
 
     start = phantom_run.attack_start_abs
-    free_by_t = {s.t: s.eb_count for s in free_run.samples}
-    diffs = sum(1 for s in phantom_run.samples
+    free_by_t = {s.t: s.eb_count for s in load_feature_log(free_run.feature_log)}
+    diffs = sum(1 for s in load_feature_log(phantom_run.feature_log)
                 if s.t >= start and s.eb_count != free_by_t[s.t])
 
     ok = traj_eq and diffs > 0

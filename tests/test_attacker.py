@@ -102,13 +102,15 @@ def test_zero_rate_means_never_inject(net):
             atk.on_second_phantom(float(t), world, eb_sample(net, float(t)), red)
         assert atk.phantoms == [] and atk.events == []
     with pytest.raises(ConfigError):
-        AttackConfig(policy=FixedRatePolicy(rate_vph=-1.0))
+        FixedRatePolicy(rate_vph=-1.0)
+    for bad in ({"margin": -0.1}, {"max_rate_vph": -1.0}):
+        with pytest.raises(ConfigError):
+            ControllerAwarePolicy(**bad)
 
 
-def test_non_eb_target_rejected(net):
-    cfg = AttackConfig(target_approach="NB")
+def test_non_eb_target_rejected():
     with pytest.raises(ConfigError):
-        SlowPoisoningAttacker(cfg, net, PARAMS)
+        AttackConfig(target_approach="NB")
 
 
 # -- decision gates ----------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import hashlib
 import importlib
@@ -15,11 +16,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atsclab import harness
-from atsclab.attacker import AttackConfig, AttackMode, FixedRatePolicy
+from atsclab.attacker import (AttackConfig, AttackMode, ControllerAwarePolicy,
+                              FixedRatePolicy)
 from atsclab.cli import main as cli_main
 from atsclab.errors import ConfigError, DataError
-from atsclab.harness import ScenarioConfig, fmt, load_feature_log, run_scenario
+from atsclab.harness import (DetectorSettings, ScenarioConfig, fmt, load_feature_log,
+                             run_scenario)
+from atsclab.microsim import CarFollowingParams
 from atsclab.msgplane import sample_features
+from atsclab.neuralnet import TrainingConfig
 from atsclab.roadnet import GeometryConfig, build_arterial_network
 from atsclab.svgplot import ChartStyle, Series, render_svg
 
@@ -35,16 +40,29 @@ def short_cfg(**kw):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        short_cfg(dt=0.0).validate()
+        short_cfg(dt=0.0)
     with pytest.raises(ConfigError):
-        short_cfg(warmup=500.0, cooldown=500.0).validate()
+        short_cfg(warmup=500.0, cooldown=500.0)
+    # a variant is checked as it is built
+    with pytest.raises(ConfigError):
+        dataclasses.replace(short_cfg(), demand_vph=-1.0)
 
 
 def test_dt_must_divide_the_one_second_grid():
     for dt in (0.3, 0.7, 2.0, 0.5, 0.25, 0.1):
         with pytest.raises(ConfigError):
-            short_cfg(dt=dt).validate()
-    short_cfg(dt=1.0).validate()
+            short_cfg(dt=dt)
+    short_cfg(dt=1.0)
+
+
+@pytest.mark.parametrize("config", [
+    ScenarioConfig(), DetectorSettings(), AttackConfig(), CarFollowingParams(),
+    TrainingConfig(), GeometryConfig(), FixedRatePolicy(), ControllerAwarePolicy()],
+    ids=lambda c: type(c).__name__)
+def test_config_classes_are_frozen(config):
+    name = dataclasses.fields(config)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, name, getattr(config, name))
 
 
 @pytest.mark.parametrize("bad", [
@@ -74,14 +92,21 @@ def test_dt_must_divide_the_one_second_grid():
     {"attack": {"initial_speed_factor": 100}},
     {"geometry": {"speed_limit": 1e6}},
     {"geometry": {"speed_limit": 30.000001}},
+    {"detector": {"hidden1": 0}},
+    {"detector": {"hidden2": 0}},
+    {"attack": {"target_approach": "WB"}},
+    {"demand_vph": -1},
+    {"turn_split": {"through": 1.5, "left": 0.15, "right": 0.15}},
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, bad):
+    # every check runs as the config is built, before either command writes
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**short_cfg().to_dict(), **bad}))
-    assert cli_main(["simulate", "--config", str(path),
-                     "--out", str(tmp_path / "out")]) == 2
-    assert "Traceback" not in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    path.write_text(json.dumps({**short_cfg(attack=AttackConfig()).to_dict(), **bad}))
+    for command in ("simulate", "experiment"):
+        out = tmp_path / command
+        assert cli_main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_config_json_round_trip(tmp_path):
@@ -138,9 +163,9 @@ def test_one_line_log_rows_match_the_csv_writer(tmp_path):
     ids = set()
     for mode in (AttackMode.PHYSICAL, AttackMode.PHANTOM):
         attack = AttackConfig(start=0.0, mode=mode, policy=FixedRatePolicy(720.0))
-        arts = run_scenario(short_cfg(duration=400.0, log_bsm=True, attack=attack),
-                            tmp_path / mode.value)
-        with open(arts.bsm_log, newline="") as fh:
+        run_scenario(short_cfg(duration=400.0, log_bsm=True, attack=attack),
+                     tmp_path / mode.value)
+        with open(tmp_path / mode.value / "bsm.csv", newline="") as fh:
             ids |= {row[1] for row in list(csv.reader(fh))[1:]}
     assert {i[0] for i in ids} == {"r", "f", "x"}
     assert not [i for i in ids if _CSV_SPECIAL & set(i)]
@@ -159,7 +184,7 @@ def run_pair(tmp_path_factory):
 
 def test_feature_log_row_count(run_pair):
     cfg, a, _ = run_pair
-    assert len(a.samples) == int(cfg.duration)
+    assert len(load_feature_log(a.feature_log)) == int(cfg.duration)
     assert len(a.analysis_samples) == int(cfg.analysis_end - cfg.analysis_start)
     assert a.analysis_samples[0].t == cfg.analysis_start
     assert a.analysis_samples[-1].t == cfg.analysis_end - 1.0
@@ -167,9 +192,9 @@ def test_feature_log_row_count(run_pair):
 
 def test_identical_config_gives_byte_identical_logs(run_pair):
     _, a, b = run_pair
-    assert a.feature_log.read_bytes() == b.feature_log.read_bytes()
-    assert a.phase_log.read_bytes() == b.phase_log.read_bytes()
-    assert a.attack_log.read_bytes() == b.attack_log.read_bytes()
+    for name in ("features.csv", "phases.csv", "attack.csv"):
+        assert (a.feature_log.with_name(name).read_bytes()
+                == b.feature_log.with_name(name).read_bytes()), name
 
 
 def test_different_seed_changes_the_log(run_pair, tmp_path):
@@ -179,14 +204,15 @@ def test_different_seed_changes_the_log(run_pair, tmp_path):
 
 
 def test_feature_log_round_trip(run_pair):
-    _, a, _ = run_pair
+    cfg, a, _ = run_pair
     back = load_feature_log(a.feature_log)
-    assert back == a.samples
+    assert [s for s in back
+            if cfg.analysis_start <= s.t < cfg.analysis_end] == a.analysis_samples
 
 
 def test_manifest_contents(run_pair):
     cfg, a, _ = run_pair
-    m = json.loads(a.manifest.read_text())
+    m = json.loads(a.feature_log.with_name("manifest.json").read_text())
     assert m["seed"] == cfg.seed
     assert m["config_hash"] == cfg.config_hash()
     assert m["entered"] >= m["exited"] >= 0
@@ -194,7 +220,7 @@ def test_manifest_contents(run_pair):
 
 def test_phase_log_structure(run_pair):
     _, a, _ = run_pair
-    lines = a.phase_log.read_text().splitlines()
+    lines = a.feature_log.with_name("phases.csv").read_text().splitlines()
     assert lines[0] == "t,node,phase,movement,seconds_in_phase"
     kinds = {ln.split(",")[2] for ln in lines[1:]}
     assert kinds <= {"green", "yellow", "all_red"}
@@ -207,7 +233,7 @@ def test_attack_run_logs_events(tmp_path):
     assert arts.attack_start_abs == 220.0       # warmup 120 + offset 100
     assert arts.inject_times
     assert min(arts.inject_times) >= arts.attack_start_abs
-    lines = arts.attack_log.read_text().splitlines()
+    lines = (tmp_path / "atk" / "attack.csv").read_text().splitlines()
     assert lines[0] == "t,fake_id,action,mode,policy_state"
     assert len(lines) - 1 >= len(arts.inject_times)
 
@@ -217,7 +243,8 @@ def test_phantom_attack_leaves_real_world_untouched(tmp_path):
     cfg = short_cfg(log_trajectories=True,
                     attack=AttackConfig(start=100.0, mode=AttackMode.PHANTOM))
     atk = run_scenario(cfg, tmp_path / "phantom")
-    assert free.trajectory_log.read_bytes() == atk.trajectory_log.read_bytes()
+    assert ((tmp_path / "free" / "trajectories.csv").read_bytes()
+            == (tmp_path / "phantom" / "trajectories.csv").read_bytes())
     # the monitored feature stream, in contrast, shows the fakes
     assert free.feature_log.read_bytes() != atk.feature_log.read_bytes()
 
@@ -318,10 +345,8 @@ LOG_GOLDEN = {
 @pytest.mark.parametrize("mode", sorted(LOG_GOLDEN))
 def test_logs_match_golden_digests_and_leave_other_artifacts_alone(tmp_path, mode):
     attack = None if mode == "free" else AttackConfig(mode=AttackMode(mode))
-    arts = run_scenario(ScenarioConfig(seed=42, duration=1210.0, attack=attack,
-                                       log_bsm=True, log_trajectories=True), tmp_path)
-    assert (arts.bsm_log, arts.trajectory_log) == (tmp_path / "bsm.csv",
-                                                   tmp_path / "trajectories.csv")
+    run_scenario(ScenarioConfig(seed=42, duration=1210.0, attack=attack,
+                                log_bsm=True, log_trajectories=True), tmp_path)
     # GOLDEN[mode] pins the same run with the logs off
     expected = {**LOG_GOLDEN[mode],
                 **{name: GOLDEN[mode][name]
