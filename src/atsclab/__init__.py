@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .roadnet import (GeometryConfig, Heading, Movement, RoadNetwork,
                       build_arterial_network, upstream_feeders)
-from .microsim import CarFollowingParams, Vehicle, World, krauss_safe_speed
+from .microsim import CarFollowingParams, TurnSplit, Vehicle, World, krauss_safe_speed
 from .msgplane import (BsmRecord, FeatureSample, emit_bsm, feeder_streams,
                        node_stream_stats, sample_features)
 from .atsc import SignalController, compute_aawt, select_green

@@ -1,23 +1,31 @@
-"""Command-line entry points: simulate, train, detect, experiment."""
+"""Command-line entry points: simulate, train, detect, experiment, sweep."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+from .attacker import AttackConfig, ControllerAwarePolicy
 from .detector import FeatureMode, detect, load_detector, save_detector, train_detector
 from .errors import AtscLabError, ConfigError
-from .harness import (ScenarioConfig, default_output_root, load_feature_log,
-                      run_experiment, run_scenario, write_verdicts)
+from .harness import (RunArtifacts, ScenarioConfig, default_output_root,
+                      load_feature_log, run_experiment, run_scenario, write_verdicts)
+
+
+def _config(path: str | None, seed: int | None = None) -> ScenarioConfig:
+    """The config at `path` (defaults if None), with `seed` if one is given."""
+    cfg = ScenarioConfig.from_json(path) if path else ScenarioConfig()
+    return replace(cfg, seed=seed) if seed is not None else cfg
+
+
+def _out_dir(args) -> Path:
+    """`--out`, or the command's own directory under the output root."""
+    return Path(args.out) if args.out else default_output_root() / args.command
 
 
 def _cmd_simulate(args) -> int:
-    cfg = ScenarioConfig.from_json(args.config) if args.config else ScenarioConfig()
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    out = Path(args.out) if args.out else default_output_root() / "simulate"
-    arts = run_scenario(cfg, out)
+    arts = run_scenario(_config(args.config, args.seed), _out_dir(args))
     print(f"wrote {arts.feature_log}")
     return 0
 
@@ -30,13 +38,13 @@ def _check_out_dir(path) -> None:
 
 def _cmd_train(args) -> int:
     _check_out_dir(args.out)
-    cfg = ScenarioConfig.from_json(args.config) if args.config else ScenarioConfig()
+    cfg = _config(args.config)
     samples = load_feature_log(args.features)
     window = [s for s in samples
               if cfg.analysis_start <= s.t < cfg.analysis_end] or samples
     tcfg = cfg.detector.training
     if args.epochs is not None:
-        tcfg = dataclasses.replace(tcfg, epochs=args.epochs)
+        tcfg = replace(tcfg, epochs=args.epochs)
     spec, ds, curves = train_detector(window, FeatureMode(args.mode), tcfg,
                                       hidden1=cfg.detector.hidden1,
                                       hidden2=cfg.detector.hidden2)
@@ -58,9 +66,39 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = ScenarioConfig.from_json(args.config)
-    out = Path(args.out) if args.out else default_output_root() / "experiment"
-    print(run_experiment(cfg, out).read_text())
+    print(run_experiment(ScenarioConfig.from_json(args.config), _out_dir(args)).read_text())
+    return 0
+
+
+def _eb_mean(arts: RunArtifacts) -> float:
+    return sum(s.eb_count for s in arts.analysis_samples) / len(arts.analysis_samples)
+
+
+def _cmd_sweep(args) -> int:
+    """An attack-free run, then one run per rate with the config's (or the
+    default) controller-aware policy capped at it, against the free run."""
+    cfg = _config(args.config, args.seed)
+    attack = cfg.attack or AttackConfig()
+    if not isinstance(attack.policy, ControllerAwarePolicy):
+        raise ConfigError("sweep needs a controller_aware attack policy")
+    # every config is built, and so checked, before the first run
+    free_cfg = replace(cfg, attack=None)
+    rate_cfgs = [(rate, replace(cfg, attack=replace(
+                     attack, policy=replace(attack.policy, max_rate_vph=rate))))
+                 for rate in args.rates]
+    out = _out_dir(args)
+    free = run_scenario(free_cfg, out / "attack_free")
+    free_mean = _eb_mean(free)
+    print(f"attack-free: EB mean count {free_mean:.3f}, "
+          f"EB waiting {free.eb_real_waiting:.0f} s")
+    for rate, rate_cfg in rate_cfgs:
+        arts = run_scenario(rate_cfg, out / f"rate_{rate:g}")
+        mean = _eb_mean(arts)
+        inflation = mean / free_mean if free_mean > 0 else float("inf")
+        print(f"rate {rate:6.1f} vph: {len(arts.inject_times):4d} injections, "
+              f"EB mean count {mean:7.3f} ({inflation:5.2f}x), "
+              f"EB waiting {arts.eb_real_waiting:7.0f} s "
+              f"({arts.eb_real_waiting / max(free.eb_real_waiting, 1.0):5.2f}x)")
     return 0
 
 
@@ -92,6 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_experiment)
+
+    s = sub.add_parser("sweep", help="attack efficacy over injection-rate caps")
+    s.add_argument("--config", help="scenario JSON; defaults apply if omitted")
+    s.add_argument("--out", help="output directory")
+    s.add_argument("--seed", type=int)
+    s.add_argument("--rates", type=float, nargs="+", default=[60.0, 120.0, 240.0, 360.0],
+                   help="controller-aware max_rate_vph values, vehicles per hour")
+    s.set_defaults(func=_cmd_sweep)
     return p
 
 

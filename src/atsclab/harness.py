@@ -29,7 +29,7 @@ from .attacker import (AttackConfig, AttackMode, ControllerAwarePolicy,
 from .detector import (DetectorSpec, FeatureMode, detect, detection_report,
                        train_detector)
 from .errors import ConfigError, DataError
-from .microsim import DEFAULT_TURN_SPLIT, REAL, WAITING_SPEED, CarFollowingParams, World
+from .microsim import REAL, WAITING_SPEED, CarFollowingParams, TurnSplit, World
 from .msgplane import FeatureSample, emit_bsm, sample_features
 from .neuralnet import TrainingConfig
 from .roadnet import GeometryConfig, Heading, build_arterial_network
@@ -73,7 +73,7 @@ class ScenarioConfig:
     cooldown: float = 600.0
     dt: float = 1.0
     demand_vph: float = 150.0
-    turn_split: dict = field(default_factory=lambda: dict(DEFAULT_TURN_SPLIT))
+    turn_split: TurnSplit = field(default_factory=TurnSplit)
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     car_following: CarFollowingParams = field(default_factory=CarFollowingParams)
     attack: AttackConfig | None = None
@@ -95,11 +95,6 @@ class ScenarioConfig:
             raise ConfigError("warm-up plus cool-down must leave an analysis window")
         if self.demand_vph < 0:
             raise ConfigError("demand must be non-negative")
-        shares = self.turn_split.values()
-        if (set(self.turn_split) != {"through", "left", "right"}
-                or not all(isinstance(p, (int, float)) and p >= 0 for p in shares)
-                or abs(sum(shares) - 1.0) > 1e-9):
-            raise ConfigError("turn split needs through/left/right shares >= 0 summing to 1")
 
     @property
     def analysis_start(self) -> float:
@@ -159,7 +154,7 @@ def _from_dict(cls, d, where: str):
     kwargs = dict(d)
     for key, value in d.items():
         default = defaults[key]
-        if is_dataclass(default) and isinstance(value, dict):
+        if is_dataclass(default) and not is_dataclass(value):   # a built policy passes
             kwargs[key] = _from_dict(type(default), value, f"{where}.{key}")
         elif isinstance(default, Enum) and value in [m.value for m in type(default)]:
             kwargs[key] = type(default)(value)
@@ -183,7 +178,7 @@ def _attack_from_dict(a) -> AttackConfig:
     return _from_dict(AttackConfig, a, "attack")
 
 
-_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str, dict: dict}
+_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str}
 
 
 def _same_type(value, default) -> bool:
@@ -361,6 +356,8 @@ def run_experiment(cfg: ScenarioConfig, out_dir) -> Path:
     """
     if cfg.attack is None:
         raise ConfigError("experiment config needs an attack section")
+    if cfg.geometry.intersections < 2:
+        raise ConfigError("the upstream detector needs geometry.intersections >= 2")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -25,7 +25,18 @@ POCKET_LANE = 1
 REAL = "real"
 FAKE = "fake"
 
-DEFAULT_TURN_SPLIT = {"through": 0.70, "left": 0.15, "right": 0.15}
+
+@dataclass(frozen=True)
+class TurnSplit:
+    """Shares of the turn a vehicle takes at each intersection it reaches."""
+    through: float = 0.70
+    left: float = 0.15
+    right: float = 0.15
+
+    def __post_init__(self) -> None:
+        shares = (self.through, self.left, self.right)
+        if not (all(p >= 0 for p in shares) and abs(sum(shares) - 1.0) <= 1e-9):
+            raise ConfigError("turn split needs through/left/right shares >= 0 summing to 1")
 
 
 @dataclass(frozen=True)
@@ -118,16 +129,17 @@ def update_waiting(vehicle: Vehicle, cumulative_mode: bool = False) -> None:
 
 
 class World:
-    """Mutable simulation state; `step` advances one second. Demand and turn
-    split (None for DEFAULT_TURN_SPLIT) come checked by `ScenarioConfig`."""
+    """Mutable simulation state; `step` advances one second. Demand comes
+    checked by `ScenarioConfig`; a `turn_split` of None is `TurnSplit()`."""
 
     def __init__(self, net: RoadNetwork, params: CarFollowingParams,
-                 demand_vph: float, turn_split: dict[str, float] | None,
+                 demand_vph: float, turn_split: TurnSplit | None,
                  seed: int, cumulative_waiting_mode: bool = False) -> None:
         self.net = net
         self.params = params
         self.demand_vph = demand_vph
-        self.turn_split = dict(turn_split or DEFAULT_TURN_SPLIT)
+        split = turn_split or TurnSplit()
+        self._turn_probs = np.array([split.through, split.left, split.right])
         self.cumulative_waiting_mode = cumulative_waiting_mode
         self.rng = np.random.default_rng(seed)
         self.clock = 0.0
@@ -319,12 +331,10 @@ class World:
     def sample_route(self, entry: str) -> list[str]:
         """Random route from an entry edge to a peripheral exit via the turn split."""
         route = [entry]
-        labels = ("through", "left", "right")
-        turns = ("T", "L", "R")
-        probs = np.array([self.turn_split[k] for k in labels])
+        turns = ("T", "L", "R")     # in `_turn_probs` order
         while self.net.edges[route[-1]].to is not None:
             conns = self.net.connections_from(route[-1])
-            choice = turns[int(self.rng.choice(len(labels), p=probs))]
+            choice = turns[int(self.rng.choice(len(turns), p=self._turn_probs))]
             for c in conns:
                 if c.stream.turn == choice:
                     route.append(c.out_edge)

@@ -32,6 +32,9 @@ class TrainingConfig:
             raise ConfigError("epochs, batch size and lookback must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning rate must be positive")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1
+                and self.eps > 0 and self.grad_clip > 0):
+            raise ConfigError("adam needs beta1, beta2 in [0, 1), eps > 0 and grad_clip > 0")
         if self.seed < 0:
             raise ConfigError(f"training seed={self.seed} must be non-negative")
 
@@ -216,7 +219,7 @@ class LstmRegressor:
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Global-norm clipping in place; returns the pre-clip norm."""
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
-    if max_norm > 0 and total > max_norm:
+    if total > max_norm:
         scale = max_norm / total
         for g in grads.values():
             g *= scale

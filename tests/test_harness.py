@@ -22,7 +22,7 @@ from atsclab.cli import main as cli_main
 from atsclab.errors import ConfigError, DataError
 from atsclab.harness import (DetectorSettings, ScenarioConfig, fmt, load_feature_log,
                              run_scenario)
-from atsclab.microsim import CarFollowingParams
+from atsclab.microsim import CarFollowingParams, TurnSplit
 from atsclab.msgplane import sample_features
 from atsclab.neuralnet import TrainingConfig
 from atsclab.roadnet import GeometryConfig, build_arterial_network
@@ -57,7 +57,8 @@ def test_dt_must_divide_the_one_second_grid():
 
 @pytest.mark.parametrize("config", [
     ScenarioConfig(), DetectorSettings(), AttackConfig(), CarFollowingParams(),
-    TrainingConfig(), GeometryConfig(), FixedRatePolicy(), ControllerAwarePolicy()],
+    TrainingConfig(), GeometryConfig(), FixedRatePolicy(), ControllerAwarePolicy(),
+    TurnSplit()],
     ids=lambda c: type(c).__name__)
 def test_config_classes_are_frozen(config):
     name = dataclasses.fields(config)[0].name
@@ -97,6 +98,12 @@ def test_config_classes_are_frozen(config):
     {"attack": {"target_approach": "WB"}},
     {"demand_vph": -1},
     {"turn_split": {"through": 1.5, "left": 0.15, "right": 0.15}},
+    {"detector": {"training": {"beta1": 1.0}}},
+    {"detector": {"training": {"beta2": 1.0}}},
+    {"detector": {"training": {"eps": 0.0}}},
+    {"detector": {"training": {"grad_clip": 0.0}}},
+    {"turn_split": 0.7},
+    {"geometry": 2},
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, bad):
     # every check runs as the config is built, before either command writes
@@ -550,20 +557,58 @@ def test_cli_experiment_writes_every_artifact(tmp_path, capsys):
             for name in EXPERIMENT_GOLDEN} == EXPERIMENT_GOLDEN
 
 
-@pytest.mark.parametrize("script", ["run_default_experiment", "sweep_attack_rates"])
-def test_script_help_runs(script):
-    root = Path(__file__).resolve().parents[1]
-    out = subprocess.run([sys.executable, f"scripts/{script}.py", "--help"],
-                         cwd=root, env={**os.environ, "PYTHONPATH": "src"},
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
+def test_experiment_without_upstream_intersection_exits_2(tmp_path, capsys):
+    # the upstream detector needs an upstream intersection; one intersection
+    # is still a valid scenario
+    cfg = short_cfg(attack=AttackConfig(), geometry=GeometryConfig(intersections=1))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    out = tmp_path / "exp"
+    assert cli_main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+    assert cli_main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "sim")]) == 0
+
+
+def test_cli_sweep(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(short_cfg().to_dict()))
+    out = tmp_path / "sweep"
+    assert cli_main(["sweep", "--config", str(path), "--rates", "120", "360",
+                     "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [
+        "attack-free", "rate  120.0 vph", "rate  360.0 vph"]
+    for rate in (120, 360):
+        manifest = json.loads((out / f"rate_{rate}" / "manifest.json").read_text())
+        assert manifest["config"]["attack"]["policy"]["max_rate_vph"] == rate
+    # with no real traffic the attack-free EB count is 0: the inflation is inf
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(short_cfg(demand_vph=0.0).to_dict()))
+    assert cli_main(["sweep", "--config", str(empty), "--rates", "360",
+                     "--out", str(tmp_path / "empty")]) == 0
+    assert "(  infx)" in capsys.readouterr().out.splitlines()[1]
+    # a bad rate or a policy without a rate cap is a ConfigError before any run
+    fixed = tmp_path / "fixed.json"
+    fixed.write_text(json.dumps(
+        short_cfg(attack=AttackConfig(policy=FixedRatePolicy())).to_dict()))
+    for args in (["--config", str(path), "--rates", "120", "-5"],
+                 ["--config", str(fixed)]):
+        bad_out = tmp_path / "bad"
+        assert cli_main(["sweep", *args, "--out", str(bad_out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not bad_out.exists()
 
 
 def test_console_script_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-m", "atsclab.cli", "--help"],
+                         env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True)
-    assert out.returncode == 0
-    for verb in ("simulate", "train", "detect", "experiment"):
+    assert out.returncode == 0, out.stderr
+    for verb in ("simulate", "train", "detect", "experiment", "sweep"):
         assert verb in out.stdout
 
 
