@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Mapping
 
 from .atsc import movement_aawt
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .microsim import (FAKE, THROUGH_LANE, CarFollowingParams, Vehicle, World,
                        entry_cell_clear, entry_speed)
 from .msgplane import BsmRecord, FeatureSample, emit_bsm
@@ -32,6 +32,7 @@ class FixedRatePolicy:
     rate_vph: float = 360.0
 
     def __post_init__(self) -> None:
+        require_finite("policy", rate_vph=self.rate_vph)
         if self.rate_vph < 0:
             raise ConfigError("injection rate must be non-negative")
 
@@ -43,6 +44,7 @@ class ControllerAwarePolicy:
     max_rate_vph: float = 360.0
 
     def __post_init__(self) -> None:
+        require_finite("policy", margin=self.margin, max_rate_vph=self.max_rate_vph)
         if self.margin < 0 or self.max_rate_vph < 0:
             raise ConfigError("margin and injection rate must be non-negative")
 
@@ -66,6 +68,8 @@ class AttackConfig:
     initial_speed_factor: float = 0.8     # fraction of the entry edge limit
 
     def __post_init__(self) -> None:
+        # `initial_speed_factor` is bounded to [0, 1] below, which NaN and inf fail
+        require_finite("attack", start=self.start, min_headway=self.min_headway)
         if self.start < 0:
             raise ConfigError("attack start must be non-negative")
         if self.target_approach != "EB":

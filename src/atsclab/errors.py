@@ -1,4 +1,5 @@
 """Error categories with process exit codes for the CLI."""
+import math
 
 
 class AtscLabError(Exception):
@@ -8,6 +9,14 @@ class AtscLabError(Exception):
 class ConfigError(AtscLabError):
     """Invalid scenario/geometry/training configuration."""
     exit_code = 2
+
+
+def require_finite(owner: str, **values: float) -> None:
+    """A ConfigError naming the first of `values` that is NaN or infinite:
+    a range check alone lets NaN through, since it compares false."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{owner}.{name}={value} must be finite")
 
 
 class DataError(AtscLabError):

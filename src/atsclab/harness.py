@@ -21,6 +21,8 @@ import os
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
+from math import copysign
+from operator import attrgetter
 from pathlib import Path
 
 from . import atsc, msgplane
@@ -28,7 +30,7 @@ from .attacker import (AttackConfig, AttackMode, ControllerAwarePolicy,
                        FixedRatePolicy, SlowPoisoningAttacker)
 from .detector import (DetectorSpec, FeatureMode, detect, detection_report,
                        train_detector)
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_finite
 from .microsim import REAL, WAITING_SPEED, CarFollowingParams, TurnSplit, World
 from .msgplane import FeatureSample, emit_bsm, sample_features
 from .neuralnet import TrainingConfig
@@ -42,6 +44,30 @@ _POLICY_KINDS = {"fixed_rate": FixedRatePolicy, "controller_aware": ControllerAw
 def fmt(x: float) -> str:
     """17-significant-digit float text; bit-stable round trip."""
     return format(float(x), ".17g")
+
+
+FMT_MEMO_SIZE = 4096    # texts a `FloatTexts` holds before it is cleared
+ZERO_TEXTS = {1.0: fmt(0.0), -1.0: fmt(-0.0)}   # keyed by copysign(1.0, zero)
+
+
+class FloatTexts(dict):
+    """`texts[x]` is `fmt(x)`, made once while it stays in this bounded memo.
+
+    The per-vehicle logs repeat their floats: a trajectory row repeats its
+    BSM row's position and speed, a standing vehicle logs a speed of 0, and
+    waits are whole seconds. The memo is cleared once it holds
+    `FMT_MEMO_SIZE` texts, so it stays small at any duration. Zeros and NaN
+    are formatted afresh and never stored: a key cannot tell 0.0 from -0.0,
+    and a NaN equals no other NaN, so it would only fill the memo.
+    """
+
+    def __missing__(self, x: float) -> str:
+        text = f"{x:.17g}"    # `fmt(x)`, without its two calls
+        if x and x == x:
+            if len(self) >= FMT_MEMO_SIZE:
+                self.clear()
+            self[x] = text
+        return text
 
 
 @dataclass(frozen=True)
@@ -85,6 +111,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ConfigError(f"seed={self.seed} must be non-negative")
+        require_finite("config", demand_vph=self.demand_vph, warmup=self.warmup,
+                       cooldown=self.cooldown)
         if self.dt != 1.0:
             raise ConfigError(f"dt={self.dt}: the simulation steps once per second")
         if not float(self.duration).is_integer():
@@ -248,6 +276,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
     last_sample: FeatureSample | None = None
     bsm_log = out / "bsm.csv" if cfg.log_bsm else None
     trajectory_log = out / "trajectories.csv" if cfg.log_trajectories else None
+    texts = FloatTexts()
     with (_streamed_log(bsm_log, "t,vehicle_id,edge_id,lane_pos,speed,waiting,"
                                  "next_edge\n") as bsm,
           _streamed_log(trajectory_log, "t,vehicle_id,edge_id,lane,pos,speed\n") as traj):
@@ -267,7 +296,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
             elif attacker is not None:
                 attacker.on_second_physical(t, world, last_sample)
 
-            vehicles = sorted(world.vehicles.values(), key=lambda v: v.vid)
+            vehicles = sorted(world.vehicles.values(), key=attrgetter("vid"))
             real_records = [emit_bsm(v, t) for v in vehicles]
             control_stats = msgplane.node_stream_stats(real_records, net, t)
             if phantom:
@@ -292,15 +321,21 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
                                    rec.movement.value if rec.movement else "",
                                    fmt(rec.seconds_in_phase)])
 
-            # one line per row: `:.17g` is `fmt`, and no field needs csv quoting
+            # one line per row of `fmt` fields, and no field needs csv quoting;
+            # zero speeds and waits, about half of them, take their text by
+            # sign from ZERO_TEXTS, as `texts` never stores a zero
             if bsm is not None:
-                bsm.write("".join([f"{ft},{vid},{edge},{pos:.17g},{speed:.17g},"
-                                   f"{wait:.17g},{nxt}\n"
-                                   for _, vid, edge, pos, speed, wait, nxt in records]))
+                bsm.write("".join([
+                    f"{ft},{vid},{edge},{texts[pos]},"
+                    f"{texts[speed] if speed else ZERO_TEXTS[copysign(1.0, speed)]},"
+                    f"{texts[wait] if wait else ZERO_TEXTS[copysign(1.0, wait)]},{nxt}\n"
+                    for _, vid, edge, pos, speed, wait, nxt in records]))
             if traj is not None:
-                traj.write("".join([f"{ft},{v.vid},{v.edge_id},{v.lane},{v.pos:.17g},"
-                                    f"{v.speed:.17g}\n"
-                                    for v in vehicles if v.provenance == REAL]))
+                traj.write("".join([
+                    f"{ft},{vid},{edge},{v.lane},{texts[pos]},"
+                    f"{texts[speed] if speed else ZERO_TEXTS[copysign(1.0, speed)]}\n"
+                    for v, (_, vid, edge, pos, speed, _, _) in zip(vehicles, real_records)
+                    if v.provenance == REAL]))
 
     feature_log = out / "features.csv"
     _write_csv(feature_log, msgplane.feature_header(net),

@@ -10,11 +10,12 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .roadnet import Movement, RoadNetwork
 
 WAITING_SPEED = 0.1     # m/s; at or below this a vehicle accrues waiting time
@@ -49,6 +50,10 @@ class CarFollowingParams:
     min_gap: float = 2.5          # m
 
     def __post_init__(self) -> None:
+        # `dawdle` is bounded to [0, 1] below, which NaN and inf fail
+        require_finite("car_following", max_accel=self.max_accel, max_decel=self.max_decel,
+                       reaction_time=self.reaction_time,
+                       vehicle_length=self.vehicle_length, min_gap=self.min_gap)
         if self.max_accel <= 0 or self.max_decel <= 0 or self.reaction_time <= 0:
             raise ConfigError("accel, decel and reaction time must be positive")
         if not 0.0 <= self.dawdle <= 1.0:
@@ -97,6 +102,17 @@ class Vehicle:
 
 def _front_first(v: Vehicle) -> tuple[float, str]:
     return -v.pos, v.vid
+
+
+_BY_VID, _BY_POS = attrgetter("vid"), attrgetter("pos")
+
+
+def _sort_front_first(lane: list[Vehicle]) -> None:
+    """Sort `lane` in place by `_front_first`, through two stable sorts on
+    C-level keys: by vid, then by pos descending (ties keep the vid order)."""
+    if len(lane) > 1:
+        lane.sort(key=_BY_VID)
+        lane.sort(key=_BY_POS, reverse=True)
 
 
 def entry_cell_clear(lane: Sequence[Vehicle], params: CarFollowingParams) -> bool:
@@ -175,7 +191,7 @@ class World:
             if edges is None or edge in edges:
                 occ.setdefault((edge, v.lane), []).append(v)
         for vs in occ.values():
-            vs.sort(key=_front_first)
+            _sort_front_first(vs)
         return occ
 
     def stream_at_node(self, vehicle: Vehicle) -> Movement | None:
@@ -243,7 +259,7 @@ class World:
         enters a new edge takes the lane of its next turn there.
         """
         v.pos += v.speed
-        edge = self.net.edges[v.edge_id]
+        edge = self.net.edges[v.route[v.route_index]]   # `edge_id`, without a property call
         while v.pos >= edge.length:
             if v.next_edge_id is None:
                 return True
@@ -259,6 +275,7 @@ class World:
     def step(self, row_map: dict[str, frozenset[Movement]]) -> None:
         """Advance one second under the given per-node right-of-way map."""
         p = self.params
+        accel = p.max_accel
         edges = self.net.edges
         occ = self.occupancy()
         # (edge, lane, -pos, vid) order: the dawdle draws follow it, and
@@ -268,32 +285,40 @@ class World:
         for key in sorted(occ):
             lane = occ[key]
             limit = edges[key[0]].speed_limit
-            ahead = None
-            for v in lane:
-                new_speed.append(self._next_speed(v, limit, ahead, occ, row_map))
+            ahead = lane[0]
+            new_speed.append(self._next_speed(ahead, limit, None, occ, row_map))
+            for v in lane[1:]:
+                # `_next_speed` with `ahead` as the leader: only a lane's
+                # front looks past it
+                gap = ahead.pos - ahead.length - v.pos - v.min_gap
+                new_speed.append(min(v.speed + accel, limit,
+                                     krauss_safe_speed(v.speed, ahead.speed, gap, p)))
                 ahead = v
             order += lane
         if p.dawdle > 0:
             # one call gives the same doubles as one scalar draw per vehicle
-            scale = p.dawdle * p.max_accel
+            scale = p.dawdle * accel
             etas = self.rng.random(len(order)).tolist()
             new_speed = [s - scale * eta for s, eta in zip(new_speed, etas)]
 
+        # waiting accrues for each vehicle that stays: they are the world's
+        # vehicles after the step
+        cumulative = self.cumulative_waiting_mode
         for v, speed in zip(order, new_speed):
             v.speed = max(0.0, speed)
             if self._move(v, row_map):
                 self.exited += 1
                 del self.vehicles[v.vid]
-
-        for v in self.vehicles.values():
-            update_waiting(v, self.cumulative_waiting_mode)
+            else:
+                update_waiting(v, cumulative)
 
         self.clock += 1.0
         # only arrivals enter an entry edge, so its lanes now hold what they
         # held at the start of the step, less the vehicles that left them
-        entry_lanes = {key: sorted([v for v in lane if v.route_index == 0
-                                    and v.vid in self.vehicles], key=_front_first)
+        entry_lanes = {key: [v for v in lane if v.route_index == 0 and v.vid in self.vehicles]
                        for key, lane in occ.items() if edges[key[0]].frm is None}
+        for lane in entry_lanes.values():
+            _sort_front_first(lane)
         self.spawn_arrivals(entry_lanes)
 
     def step_overlay(self, overlay: list[Vehicle],

@@ -33,9 +33,16 @@ class BsmRecord(NamedTuple):
     next_edge: str = ""
 
 
+# what BsmRecord's generated `__new__` calls, without its Python frame
+_new_record = tuple.__new__
+
+
 def emit_bsm(vehicle: Vehicle, t: float) -> BsmRecord:
-    return BsmRecord(t, vehicle.vid, vehicle.edge_id, vehicle.pos, vehicle.speed,
-                     vehicle.waiting, vehicle.next_edge_id or "")
+    # `edge_id` and `next_edge_id`, read from the route without property calls
+    route, i = vehicle.route, vehicle.route_index
+    nxt = route[i + 1] if i + 1 < len(route) else ""
+    return _new_record(BsmRecord, (t, vehicle.vid, route[i], vehicle.pos, vehicle.speed,
+                                   vehicle.waiting, nxt))
 
 
 @dataclass

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, require_finite
 
 PARAM_NAMES = ("W1", "U1", "b1", "W2", "U2", "b2", "Wd", "bd")
 
@@ -28,6 +28,8 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_finite("training", learning_rate=self.learning_rate, eps=self.eps,
+                       grad_clip=self.grad_clip)
         if self.epochs < 1 or self.batch_size < 1 or self.lookback < 1:
             raise ConfigError("epochs, batch size and lookback must be >= 1")
         if self.learning_rate <= 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_finite
 
 
 class Heading(Enum):
@@ -113,6 +113,8 @@ class GeometryConfig:
     pocket_length: float = 50.0
 
     def __post_init__(self) -> None:
+        require_finite("geometry", leg_length=self.leg_length, link_length=self.link_length,
+                       pocket_length=self.pocket_length)
         if self.intersections < 1:
             raise ConfigError("need at least one intersection")
         if self.leg_length <= 0 or self.link_length <= 0:

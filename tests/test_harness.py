@@ -4,6 +4,7 @@ import gc
 import hashlib
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,8 +21,8 @@ from atsclab.attacker import (AttackConfig, AttackMode, ControllerAwarePolicy,
                               FixedRatePolicy)
 from atsclab.cli import main as cli_main
 from atsclab.errors import ConfigError, DataError
-from atsclab.harness import (DetectorSettings, ScenarioConfig, fmt, load_feature_log,
-                             run_scenario)
+from atsclab.harness import (FMT_MEMO_SIZE, ZERO_TEXTS, DetectorSettings, FloatTexts,
+                             ScenarioConfig, fmt, load_feature_log, run_scenario)
 from atsclab.microsim import CarFollowingParams, TurnSplit
 from atsclab.msgplane import sample_features
 from atsclab.neuralnet import TrainingConfig
@@ -64,6 +65,29 @@ def test_config_classes_are_frozen(config):
     name = dataclasses.fields(config)[0].name
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(config, name, getattr(config, name))
+
+
+_NON_FINITE = [
+    (cls, name, value)
+    for cls, names in [(FixedRatePolicy, ["rate_vph"]),
+                       (ControllerAwarePolicy, ["margin", "max_rate_vph"]),
+                       (AttackConfig, ["start", "min_headway"]),
+                       (ScenarioConfig, ["demand_vph"]),
+                       (CarFollowingParams, ["max_accel", "max_decel", "reaction_time",
+                                             "vehicle_length", "min_gap"]),
+                       (GeometryConfig, ["leg_length", "link_length", "pocket_length"]),
+                       (TrainingConfig, ["learning_rate", "grad_clip"])]
+    for name in names for value in (float("nan"), float("inf"))
+] + [(ScenarioConfig, name, float("nan")) for name in ("warmup", "cooldown")] + [
+    (TrainingConfig, "eps", float("inf"))]
+
+
+@pytest.mark.parametrize("cls, name, value", _NON_FINITE,
+                         ids=lambda x: getattr(x, "__name__", str(x)))
+def test_constructors_reject_non_finite_numbers(cls, name, value):
+    # a bound alone lets NaN through (it compares false) and often +inf too
+    with pytest.raises(ConfigError, match=f"{name}={value} must be finite"):
+        cls(**{name: value})
 
 
 @pytest.mark.parametrize("bad", [
@@ -152,18 +176,34 @@ _CSV_SPECIAL = set(',"\r\n')
 
 def test_one_line_log_rows_match_the_csv_writer(tmp_path):
     # the per-vehicle logs format each row in one f-string, with no csv
-    # quoting: that equals the csv writer's row of `fmt` fields only if
-    # `:.17g` is `fmt` and no text field needs quoting
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                     st.floats(min_value=-1e-300, max_value=1e-300),
-                     st.integers(0, 10 ** 6).map(float),
-                     st.integers(-2 ** 70, 2 ** 70),
-                     st.sampled_from([-0.0, 5e-324, 2.2250738585072009e-308])))
-    def formats_like_fmt(x):
-        assert f"{x:.17g}" == fmt(x)
+    # quoting: that equals the csv writer's row of `fmt` fields only if the
+    # memo's texts are `fmt`'s, whatever came before, and no text field
+    # needs quoting
+    texts = FloatTexts()
+    special = [0.0, -0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+               -5e-324, 2.2250738585072009e-308, 1e16, 1e16 + 2, 1e17, -1e17,
+               9999999999999998.0, 0.1]
 
-    formats_like_fmt()
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.floats(),
+                              st.floats(min_value=-1e-300, max_value=1e-300),
+                              st.integers(0, 10 ** 6).map(float),
+                              st.integers(-2 ** 70, 2 ** 70),
+                              st.sampled_from(special)), max_size=50))
+    def memo_formats_like_fmt(xs):
+        for x in xs:
+            assert texts[x] == fmt(x)
+            assert len(texts) <= FMT_MEMO_SIZE
+
+    memo_formats_like_fmt()
+    # the logs take a zero's text by its sign, from ZERO_TEXTS
+    for z in (0.0, -0.0):
+        assert ZERO_TEXTS[math.copysign(1.0, z)] == fmt(z)
+    # past its bound, and with a fresh NaN each time, the memo stays bounded
+    for x in [*special, *(i / 7 for i in range(1, 3 * FMT_MEMO_SIZE)),
+              *(float("nan") for _ in range(FMT_MEMO_SIZE + 1)), *special]:
+        assert texts[x] == fmt(x)
+        assert len(texts) <= FMT_MEMO_SIZE
     for n in (1, 2, 3):
         net = build_arterial_network(GeometryConfig(intersections=n))
         assert not [e for e in net.edges if _CSV_SPECIAL & set(e)]
@@ -329,9 +369,10 @@ def test_artifacts_match_golden_digests(tmp_path, case):
     assert digests == GOLDEN[case]
 
 
-# SHA-256 of the per-vehicle logs of GOLDEN's free, physical and phantom runs
-# with both logs on, recorded while they were still buffered and written at
-# the end of the run; streaming them must leave these bytes unchanged
+# SHA-256 of the per-vehicle logs of GOLDEN runs with both logs on. Those of
+# the free, physical and phantom runs were recorded while the logs were still
+# buffered and written at the end of the run; streaming them must leave these
+# bytes unchanged
 LOG_GOLDEN = {
     "free": {
         "bsm.csv": "798689651932685723a04dadb48b3da5b8471beba6e41b00cc4750b3da09287f",
@@ -346,17 +387,25 @@ LOG_GOLDEN = {
         # real vehicles never see phantoms: the same trajectories as free
         "trajectories.csv": "d5900264b55f4a0bede971586d82fb92cb7f425fc161b380877b4b1ffcd86e3b",
     },
+    # recorded before each logged float went through a memo: at 400 vph lanes
+    # queue, so most logged floats repeat and most vehicles follow another
+    "free~400": {
+        "bsm.csv": "48b28e3856890657f27a413206f15508be82da94697e27bf989a197a7e245957",
+        "trajectories.csv": "23fa9288ccbf7fb1bd798173b7456abde4f9c0ca365fd5c6cc71af1fe5619ca2",
+    },
 }
 
 
-@pytest.mark.parametrize("mode", sorted(LOG_GOLDEN))
-def test_logs_match_golden_digests_and_leave_other_artifacts_alone(tmp_path, mode):
+@pytest.mark.parametrize("case", sorted(LOG_GOLDEN))
+def test_logs_match_golden_digests_and_leave_other_artifacts_alone(tmp_path, case):
+    mode, _, vph = case.partition("~")
     attack = None if mode == "free" else AttackConfig(mode=AttackMode(mode))
-    run_scenario(ScenarioConfig(seed=42, duration=1210.0, attack=attack,
-                                log_bsm=True, log_trajectories=True), tmp_path)
-    # GOLDEN[mode] pins the same run with the logs off
-    expected = {**LOG_GOLDEN[mode],
-                **{name: GOLDEN[mode][name]
+    run_scenario(ScenarioConfig(seed=42, duration=1210.0, demand_vph=float(vph or 150),
+                                attack=attack, log_bsm=True, log_trajectories=True),
+                 tmp_path)
+    # GOLDEN[case] pins the same run with the logs off
+    expected = {**LOG_GOLDEN[case],
+                **{name: GOLDEN[case][name]
                    for name in ("features.csv", "phases.csv", "attack.csv")}}
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in expected} == expected
@@ -601,6 +650,16 @@ def test_cli_sweep(tmp_path, capsys):
         assert not bad_out.exists()
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_sweep_rejects_a_non_finite_rate(tmp_path, capsys, rate):
+    # NaN never injected and inf injected at the headway cap; both now fail
+    # as their policy is built, before any run
+    out = tmp_path / "sweep"
+    assert cli_main(["sweep", "--rates", "120", rate, "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_console_script_entry_point():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -625,3 +684,23 @@ def test_benchmark_probes_resolve(monkeypatch):
         if cls:
             owner = getattr(owner, cls)
         assert callable(getattr(owner, probe.attr, None)), probe.metric
+
+
+def test_hot_path_reaches_every_probe(monkeypatch, tmp_path):
+    # a probe the hot path no longer calls where `spans` wraps it records no
+    # call, and `--trace 1` then fails its coverage guard on that workload
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spans = importlib.import_module("spans")
+    loads = json.loads((bench / "workloads.json").read_text())["workloads"]
+    with spans.Tracer(full=True) as tracer:
+        tracer.begin(0)
+        for mode in (None, AttackMode.PHYSICAL, AttackMode.PHANTOM):
+            attack = None if mode is None else AttackConfig(start=0.0, mode=mode)
+            harness.run_scenario(short_cfg(duration=300.0, attack=attack, log_bsm=True,
+                                           log_trajectories=True),
+                                 tmp_path / (mode.value if mode else "free"))
+        trace = tracer.end()
+    calls = spans.call_counts(trace)
+    for workload in ("closed_loop", "saturated"):
+        assert spans.missing_layers(loads[workload]["loads"], calls, tracer.missing) == []
