@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Mapping
 
 from .atsc import movement_aawt
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, bounded, check_ranges
 from .microsim import (FAKE, THROUGH_LANE, CarFollowingParams, Vehicle, World,
                        entry_cell_clear, entry_speed)
 from .msgplane import BsmRecord, FeatureSample, emit_bsm
@@ -29,24 +29,20 @@ class AttackMode(Enum):
 
 @dataclass(frozen=True)
 class FixedRatePolicy:
-    rate_vph: float = 360.0
+    rate_vph: float = bounded(360.0, at_least=0)
 
     def __post_init__(self) -> None:
-        require_finite("policy", rate_vph=self.rate_vph)
-        if self.rate_vph < 0:
-            raise ConfigError("injection rate must be non-negative")
+        check_ranges("policy", self)
 
 
 @dataclass(frozen=True)
 class ControllerAwarePolicy:
     """Inject only when the target approach is close to winning green."""
-    margin: float = 0.5          # s/veh
-    max_rate_vph: float = 360.0
+    margin: float = bounded(0.5, at_least=0)           # s/veh
+    max_rate_vph: float = bounded(360.0, at_least=0)
 
     def __post_init__(self) -> None:
-        require_finite("policy", margin=self.margin, max_rate_vph=self.max_rate_vph)
-        if self.margin < 0 or self.max_rate_vph < 0:
-            raise ConfigError("margin and injection rate must be non-negative")
+        check_ranges("policy", self)
 
 
 def injection_rate(policy: FixedRatePolicy | ControllerAwarePolicy) -> float:
@@ -58,28 +54,20 @@ def injection_rate(policy: FixedRatePolicy | ControllerAwarePolicy) -> float:
 
 @dataclass(frozen=True)
 class AttackConfig:
-    start: float = 400.0                  # s, relative to analysis-window start
+    start: float = bounded(400.0, at_least=0)    # s, relative to analysis-window start
     target_approach: str = "EB"
     mode: AttackMode = AttackMode.PHYSICAL
     policy: FixedRatePolicy | ControllerAwarePolicy = field(
         default_factory=ControllerAwarePolicy)
-    max_concurrent: int = 30
-    min_headway: float = 10.0             # s between injections
-    initial_speed_factor: float = 0.8     # fraction of the entry edge limit
+    max_concurrent: int = bounded(30, at_least=1)
+    min_headway: float = bounded(10.0, above=0)  # s between injections
+    # fraction of the entry edge limit: 0 enters at rest, 1 at the speed limit
+    initial_speed_factor: float = bounded(0.8, at_least=0, at_most=1)
 
     def __post_init__(self) -> None:
-        # `initial_speed_factor` is bounded to [0, 1] below, which NaN and inf fail
-        require_finite("attack", start=self.start, min_headway=self.min_headway)
-        if self.start < 0:
-            raise ConfigError("attack start must be non-negative")
+        check_ranges("attack", self)
         if self.target_approach != "EB":
             raise ConfigError("only the subject EB approach is supported as a target")
-        if self.max_concurrent < 1 or self.min_headway <= 0:
-            raise ConfigError("bad attack caps")
-        # 0 is an entry at rest, 1 an entry at the speed limit
-        if not 0.0 <= self.initial_speed_factor <= 1.0:
-            raise ConfigError(f"initial_speed_factor={self.initial_speed_factor} "
-                              f"is outside [0, 1]")
 
 
 @dataclass(frozen=True)

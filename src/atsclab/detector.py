@@ -57,14 +57,21 @@ def _is_gap(prev_t: float, t: float) -> bool:
     return abs(t - prev_t - 1.0) > 1e-9
 
 
+def train_boundary(n: int, lookback: int) -> int | None:
+    """The first validation row of an `n`-row log split chronologically 70/30,
+    or None if the split leaves no training or no validation window."""
+    boundary = int(round(n * TRAIN_FRACTION))
+    return boundary if lookback < boundary < n else None
+
+
 def build_dataset(samples: list[FeatureSample], mode: FeatureMode,
-                  lookback: int, split: float = TRAIN_FRACTION) -> WindowDataset:
+                  lookback: int) -> WindowDataset:
     """Chronological 70/30 split; windows of `lookback` seconds predict the
     next-second EB count. Normalization is fitted on the training portion only.
     """
     n = len(samples)
-    boundary = int(round(n * split))
-    if not lookback < boundary < n:
+    boundary = train_boundary(n, lookback)
+    if boundary is None:
         raise DataError(f"feature log of {n} rows is too short for lookback {lookback}: "
                         f"it leaves no training or no validation window")
     for a, b in zip(samples, samples[1:]):

@@ -1,5 +1,8 @@
-"""Error categories with process exit codes for the CLI."""
+"""Error categories with process exit codes for the CLI, and the declared
+ranges that config classes check their numeric fields against."""
 import math
+import operator
+from dataclasses import field, fields
 
 
 class AtscLabError(Exception):
@@ -11,12 +14,34 @@ class ConfigError(AtscLabError):
     exit_code = 2
 
 
-def require_finite(owner: str, **values: float) -> None:
-    """A ConfigError naming the first of `values` that is NaN or infinite:
-    a range check alone lets NaN through, since it compares false."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ConfigError(f"{owner}.{name}={value} must be finite")
+def bounded(default, *, at_least=None, above=None, at_most=None, below=None):
+    """A dataclass field whose value `check_ranges` holds to the given bounds,
+    to finite numbers, and to whole ones where `default` is an int."""
+    return field(default=default, metadata={"range": (at_least, above, at_most, below)})
+
+
+# per bound of `bounded`: the test a value fails it by, and its text
+_BOUND_TESTS = ((operator.lt, ">="), (operator.le, ">"), (operator.gt, "<="),
+                (operator.ge, "<"))
+
+
+def check_ranges(owner: str, config) -> None:
+    """A ConfigError naming the first `bounded` field of `config` whose value
+    is NaN or infinite, not whole where its default is an int, or out of its
+    range. Finiteness comes first: a bound alone lets NaN through."""
+    for f in fields(config):
+        bounds = f.metadata.get("range")
+        if bounds is None:
+            continue
+        value = getattr(config, f.name)
+        where = f"{owner}.{f.name}={value}"
+        if not (isinstance(value, int) or math.isfinite(value)):   # an int may overflow a float
+            raise ConfigError(f"{where} must be finite")
+        if isinstance(f.default, int) and value != int(value):
+            raise ConfigError(f"{where} must be a whole number")
+        for (fails, text), bound in zip(_BOUND_TESTS, bounds):
+            if bound is not None and fails(value, bound):
+                raise ConfigError(f"{where} must be {text} {bound}")
 
 
 class DataError(AtscLabError):

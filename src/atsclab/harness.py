@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
@@ -29,8 +28,8 @@ from . import atsc, msgplane
 from .attacker import (AttackConfig, AttackMode, ControllerAwarePolicy,
                        FixedRatePolicy, SlowPoisoningAttacker)
 from .detector import (DetectorSpec, FeatureMode, detect, detection_report,
-                       train_detector)
-from .errors import ConfigError, DataError, require_finite
+                       train_boundary, train_detector)
+from .errors import ConfigError, DataError, bounded, check_ranges
 from .microsim import REAL, WAITING_SPEED, CarFollowingParams, TurnSplit, World
 from .msgplane import FeatureSample, emit_bsm, sample_features
 from .neuralnet import TrainingConfig
@@ -77,15 +76,14 @@ class DetectorSettings:
     (ROADMAP item 1)."""
     mode: str = "baseline"
     training: TrainingConfig = field(default_factory=TrainingConfig)
-    hidden1: int = 128
-    hidden2: int = 8
+    hidden1: int = bounded(128, at_least=1)
+    hidden2: int = bounded(8, at_least=1)
 
     def __post_init__(self) -> None:
+        check_ranges("detector", self)
         if self.mode != "baseline":
             raise ConfigError(f"detector.mode={self.mode!r} is not read; "
                               f"experiments train both feature modes")
-        if self.hidden1 < 1 or self.hidden2 < 1:
-            raise ConfigError("detector hidden1 and hidden2 must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -93,12 +91,12 @@ class ScenarioConfig:
     """One closed-loop run, stepped once per second for `duration` seconds.
     `dt` must be 1.0; it stays only as a manifest key until the next
     benchmark re-record (ROADMAP item 1)."""
-    seed: int = 42
-    duration: float = 3600.0
-    warmup: float = 600.0
-    cooldown: float = 600.0
+    seed: int = bounded(42, at_least=0)
+    duration: float = bounded(3600.0, at_least=1)
+    warmup: float = bounded(600.0, at_least=0)
+    cooldown: float = bounded(600.0, at_least=0)
     dt: float = 1.0
-    demand_vph: float = 150.0
+    demand_vph: float = bounded(150.0, at_least=0)
     turn_split: TurnSplit = field(default_factory=TurnSplit)
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     car_following: CarFollowingParams = field(default_factory=CarFollowingParams)
@@ -109,20 +107,13 @@ class ScenarioConfig:
     log_trajectories: bool = False
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ConfigError(f"seed={self.seed} must be non-negative")
-        require_finite("config", demand_vph=self.demand_vph, warmup=self.warmup,
-                       cooldown=self.cooldown)
+        check_ranges("config", self)
         if self.dt != 1.0:
             raise ConfigError(f"dt={self.dt}: the simulation steps once per second")
         if not float(self.duration).is_integer():
             raise ConfigError(f"duration={self.duration} is not whole seconds")
-        if self.warmup < 0 or self.cooldown < 0:
-            raise ConfigError("warm-up and cool-down must be non-negative")
         if self.warmup + self.cooldown >= self.duration:
             raise ConfigError("warm-up plus cool-down must leave an analysis window")
-        if self.demand_vph < 0:
-            raise ConfigError("demand must be non-negative")
 
     @property
     def analysis_start(self) -> float:
@@ -168,9 +159,10 @@ def _from_dict(cls, d, where: str):
     """Build config dataclass `cls` from a parsed JSON object; a nested object
     becomes the class of its field's default, a string an enum member.
 
-    Unknown keys, values whose type differs from the field default's, and
-    NaN or infinite numbers (which `json.load` accepts) are ConfigErrors
-    rather than a TypeError at construction or a wrong run later.
+    Unknown keys and values whose type differs from the field default's are
+    ConfigErrors rather than a TypeError at construction or a wrong run
+    later; NaN and infinite numbers, which `json.load` accepts, fail the
+    class's own range checks.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object, got {d!r}")
@@ -189,8 +181,6 @@ def _from_dict(cls, d, where: str):
         elif isinstance(default, Enum) or not _same_type(value, default):
             raise ConfigError(f"{where}.{key} must be {type(default).__name__}, "
                               f"got {value!r}")
-        elif isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
     return cls(**kwargs)
 
 
@@ -393,6 +383,11 @@ def run_experiment(cfg: ScenarioConfig, out_dir) -> Path:
         raise ConfigError("experiment config needs an attack section")
     if cfg.geometry.intersections < 2:
         raise ConfigError("the upstream detector needs geometry.intersections >= 2")
+    seconds = sum(cfg.analysis_start <= k < cfg.analysis_end
+                  for k in range(1, int(cfg.duration) + 1))
+    if train_boundary(seconds, cfg.detector.training.lookback) is None:
+        raise ConfigError(f"an analysis window of {seconds} s is too short to train "
+                          f"and validate with lookback {cfg.detector.training.lookback}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -6,7 +6,7 @@ changing. Red/yellow signals act as a stationary virtual leader at the stop line
 """
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -15,7 +15,7 @@ from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, bounded, check_ranges
 from .roadnet import Movement, RoadNetwork
 
 WAITING_SPEED = 0.1     # m/s; at or below this a vehicle accrues waiting time
@@ -30,36 +30,27 @@ FAKE = "fake"
 @dataclass(frozen=True)
 class TurnSplit:
     """Shares of the turn a vehicle takes at each intersection it reaches."""
-    through: float = 0.70
-    left: float = 0.15
-    right: float = 0.15
+    through: float = bounded(0.70, at_least=0)
+    left: float = bounded(0.15, at_least=0)
+    right: float = bounded(0.15, at_least=0)
 
     def __post_init__(self) -> None:
-        shares = (self.through, self.left, self.right)
-        if not (all(p >= 0 for p in shares) and abs(sum(shares) - 1.0) <= 1e-9):
-            raise ConfigError("turn split needs through/left/right shares >= 0 summing to 1")
+        check_ranges("turn_split", self)
+        if abs(self.through + self.left + self.right - 1.0) > 1e-9:
+            raise ConfigError("turn split needs through/left/right shares summing to 1")
 
 
 @dataclass(frozen=True)
 class CarFollowingParams:
-    max_accel: float = 2.6        # m/s^2
-    max_decel: float = 4.5        # m/s^2
-    reaction_time: float = 1.0    # s
-    dawdle: float = 0.5           # sigma in [0, 1]
-    vehicle_length: float = 5.0   # m
-    min_gap: float = 2.5          # m
+    max_accel: float = bounded(2.6, above=0)        # m/s^2
+    max_decel: float = bounded(4.5, above=0)        # m/s^2
+    reaction_time: float = bounded(1.0, above=0)    # s
+    dawdle: float = bounded(0.5, at_least=0, at_most=1)
+    vehicle_length: float = bounded(5.0, above=0)   # m
+    min_gap: float = bounded(2.5, at_least=0)       # m
 
     def __post_init__(self) -> None:
-        # `dawdle` is bounded to [0, 1] below, which NaN and inf fail
-        require_finite("car_following", max_accel=self.max_accel, max_decel=self.max_decel,
-                       reaction_time=self.reaction_time,
-                       vehicle_length=self.vehicle_length, min_gap=self.min_gap)
-        if self.max_accel <= 0 or self.max_decel <= 0 or self.reaction_time <= 0:
-            raise ConfigError("accel, decel and reaction time must be positive")
-        if not 0.0 <= self.dawdle <= 1.0:
-            raise ConfigError("dawdle factor must lie in [0, 1]")
-        if self.vehicle_length <= 0 or self.min_gap < 0:
-            raise ConfigError("bad vehicle dimensions")
+        check_ranges("car_following", self)
 
 
 def krauss_safe_speed(v_follower: float, v_leader: float, gap: float,
@@ -155,7 +146,10 @@ class World:
         self.params = params
         self.demand_vph = demand_vph
         split = turn_split or TurnSplit()
-        self._turn_probs = np.array([split.through, split.left, split.right])
+        # `Generator.choice`'s cumulative split: bisecting it draws choice's turns
+        cdf = np.array([split.through, split.left, split.right], dtype=float).cumsum()
+        cdf /= cdf[-1]
+        self._turn_cdf = cdf.tolist()
         self.cumulative_waiting_mode = cumulative_waiting_mode
         self.rng = np.random.default_rng(seed)
         self.clock = 0.0
@@ -356,10 +350,10 @@ class World:
     def sample_route(self, entry: str) -> list[str]:
         """Random route from an entry edge to a peripheral exit via the turn split."""
         route = [entry]
-        turns = ("T", "L", "R")     # in `_turn_probs` order
+        turns = ("T", "L", "R")     # in `_turn_cdf` order
         while self.net.edges[route[-1]].to is not None:
             conns = self.net.connections_from(route[-1])
-            choice = turns[int(self.rng.choice(len(turns), p=self._turn_probs))]
+            choice = turns[bisect_right(self._turn_cdf, self.rng.random())]
             for c in conns:
                 if c.stream.turn == choice:
                     route.append(c.out_edge)

@@ -10,35 +10,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, require_finite
+from .errors import ConfigError, DataError, NumericError, bounded, check_ranges
 
 PARAM_NAMES = ("W1", "U1", "b1", "W2", "U2", "b2", "Wd", "bd")
 
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    epochs: int = 1000
-    batch_size: int = 50
-    learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    lookback: int = 10
-    grad_clip: float = 5.0
-    seed: int = 0
+    epochs: int = bounded(1000, at_least=1)
+    batch_size: int = bounded(50, at_least=1)
+    learning_rate: float = bounded(0.01, above=0)
+    beta1: float = bounded(0.9, at_least=0, below=1)
+    beta2: float = bounded(0.999, at_least=0, below=1)
+    eps: float = bounded(1e-8, above=0)
+    lookback: int = bounded(10, at_least=1)
+    grad_clip: float = bounded(5.0, above=0)
+    seed: int = bounded(0, at_least=0)
 
     def __post_init__(self) -> None:
-        require_finite("training", learning_rate=self.learning_rate, eps=self.eps,
-                       grad_clip=self.grad_clip)
-        if self.epochs < 1 or self.batch_size < 1 or self.lookback < 1:
-            raise ConfigError("epochs, batch size and lookback must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1
-                and self.eps > 0 and self.grad_clip > 0):
-            raise ConfigError("adam needs beta1, beta2 in [0, 1), eps > 0 and grad_clip > 0")
-        if self.seed < 0:
-            raise ConfigError(f"training seed={self.seed} must be non-negative")
+        check_ranges("training", self)
 
 
 @dataclass

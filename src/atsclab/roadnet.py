@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import ConfigError, DataError, require_finite
+from .errors import ConfigError, DataError, bounded, check_ranges
 
 
 class Heading(Enum):
@@ -100,33 +100,22 @@ MAX_SPEED_LIMIT = 30.0
 class GeometryConfig:
     """Arterial geometry.
 
-    `speed_limit` lies in (0, MAX_SPEED_LIMIT] m/s. The microsim drives one
-    through lane and one full-length left-turn pocket per approach, so
-    `through_lanes` must be 1 and `pocket_length` positive; both stay only as
-    manifest keys until the next benchmark re-record.
+    The microsim drives one through lane and one full-length left-turn pocket
+    per approach, so `through_lanes` must be 1; it stays only as a manifest
+    key until the next benchmark re-record, as does `pocket_length`.
     """
-    intersections: int = 2
-    leg_length: float = 300.0
-    link_length: float = 300.0
-    speed_limit: float = 13.89
+    intersections: int = bounded(2, at_least=1)
+    leg_length: float = bounded(300.0, above=0)
+    link_length: float = bounded(300.0, above=0)
+    speed_limit: float = bounded(13.89, above=0, at_most=MAX_SPEED_LIMIT)
     through_lanes: int = 1
-    pocket_length: float = 50.0
+    pocket_length: float = bounded(50.0, above=0)
 
     def __post_init__(self) -> None:
-        require_finite("geometry", leg_length=self.leg_length, link_length=self.link_length,
-                       pocket_length=self.pocket_length)
-        if self.intersections < 1:
-            raise ConfigError("need at least one intersection")
-        if self.leg_length <= 0 or self.link_length <= 0:
-            raise ConfigError("edge lengths must be positive")
-        if not 0 < self.speed_limit <= MAX_SPEED_LIMIT:
-            raise ConfigError(f"speed_limit={self.speed_limit} m/s is outside "
-                              f"(0, {MAX_SPEED_LIMIT}]")
+        check_ranges("geometry", self)
         if self.through_lanes != 1:
             raise ConfigError(f"through_lanes={self.through_lanes}: the microsim "
                               f"drives exactly one through lane")
-        if self.pocket_length <= 0:
-            raise ConfigError(f"pocket_length={self.pocket_length} must be positive")
 
 
 @dataclass

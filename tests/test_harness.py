@@ -67,27 +67,105 @@ def test_config_classes_are_frozen(config):
         setattr(config, name, getattr(config, name))
 
 
-_NON_FINITE = [
-    (cls, name, value)
-    for cls, names in [(FixedRatePolicy, ["rate_vph"]),
-                       (ControllerAwarePolicy, ["margin", "max_rate_vph"]),
-                       (AttackConfig, ["start", "min_headway"]),
-                       (ScenarioConfig, ["demand_vph"]),
-                       (CarFollowingParams, ["max_accel", "max_decel", "reaction_time",
-                                             "vehicle_length", "min_gap"]),
-                       (GeometryConfig, ["leg_length", "link_length", "pocket_length"]),
-                       (TrainingConfig, ["learning_rate", "grad_clip"])]
-    for name in names for value in (float("nan"), float("inf"))
-] + [(ScenarioConfig, name, float("nan")) for name in ("warmup", "cooldown")] + [
-    (TrainingConfig, "eps", float("inf"))]
+# Every bounded config field, its kind and its range, written out apart from
+# the declarations: a round bracket is an open bound, and inf no bound.
+_RANGES = [
+    (ScenarioConfig, "seed", int, "[0, inf)"),
+    (ScenarioConfig, "duration", float, "[1, inf)"),    # whole, over warm-up + cool-down
+    (ScenarioConfig, "warmup", float, "[0, inf)"),
+    (ScenarioConfig, "cooldown", float, "[0, inf)"),
+    (ScenarioConfig, "demand_vph", float, "[0, inf)"),
+    (DetectorSettings, "hidden1", int, "[1, inf)"),
+    (DetectorSettings, "hidden2", int, "[1, inf)"),
+    (GeometryConfig, "intersections", int, "[1, inf)"),
+    (GeometryConfig, "leg_length", float, "(0, inf)"),
+    (GeometryConfig, "link_length", float, "(0, inf)"),
+    (GeometryConfig, "speed_limit", float, "(0, 30]"),
+    (GeometryConfig, "pocket_length", float, "(0, inf)"),
+    (CarFollowingParams, "max_accel", float, "(0, inf)"),
+    (CarFollowingParams, "max_decel", float, "(0, inf)"),
+    (CarFollowingParams, "reaction_time", float, "(0, inf)"),
+    (CarFollowingParams, "dawdle", float, "[0, 1]"),
+    (CarFollowingParams, "vehicle_length", float, "(0, inf)"),
+    (CarFollowingParams, "min_gap", float, "[0, inf)"),
+    (TurnSplit, "through", float, "[0, inf)"),      # the three sum to 1
+    (TurnSplit, "left", float, "[0, inf)"),
+    (TurnSplit, "right", float, "[0, inf)"),
+    (TrainingConfig, "epochs", int, "[1, inf)"),
+    (TrainingConfig, "batch_size", int, "[1, inf)"),
+    (TrainingConfig, "learning_rate", float, "(0, inf)"),
+    (TrainingConfig, "beta1", float, "[0, 1)"),
+    (TrainingConfig, "beta2", float, "[0, 1)"),
+    (TrainingConfig, "eps", float, "(0, inf)"),
+    (TrainingConfig, "lookback", int, "[1, inf)"),
+    (TrainingConfig, "grad_clip", float, "(0, inf)"),
+    (TrainingConfig, "seed", int, "[0, inf)"),
+    (AttackConfig, "start", float, "[0, inf)"),
+    (AttackConfig, "max_concurrent", int, "[1, inf)"),
+    (AttackConfig, "min_headway", float, "(0, inf)"),
+    (AttackConfig, "initial_speed_factor", float, "[0, 1]"),
+    (FixedRatePolicy, "rate_vph", float, "[0, inf)"),
+    (ControllerAwarePolicy, "margin", float, "[0, inf)"),
+    (ControllerAwarePolicy, "max_rate_vph", float, "[0, inf)"),
+]
 
 
-@pytest.mark.parametrize("cls, name, value", _NON_FINITE,
+def config_with(cls, name, value):
+    """`cls` with `name` at `value`, and its other fields set so that only
+    `value` can fail: no warm-up or cool-down, and turn shares summing to 1."""
+    kw = {name: value}
+    if cls is ScenarioConfig:
+        kw = {"warmup": 0.0, "cooldown": 0.0, **kw}
+    if cls is TurnSplit:
+        first, second = (n for n in ("through", "left", "right") if n != name)
+        kw.update({first: 1 - value if math.isfinite(value) else 1.0, second: 0.0})
+    return cls(**kw)
+
+
+def _range_cases():
+    """(cls, name, value, accepted) at each finite bound and one float past
+    it, and at 2.5 in an integer field."""
+    for cls, name, kind, interval in _RANGES:
+        low, high = (float(b) for b in interval[1:-1].split(", "))
+        for bound, is_open, outward in ((low, interval[0] == "(", -math.inf),
+                                        (high, interval[-1] == ")", math.inf)):
+            if math.isfinite(bound):
+                inside = math.nextafter(bound, -outward) if is_open else kind(bound)
+                yield cls, name, inside, True
+                yield cls, name, bound if is_open else math.nextafter(bound, outward), False
+        if kind is int:
+            yield cls, name, 2.5, False
+
+
+@pytest.mark.parametrize("cls, name, value, accepted", list(_range_cases()),
                          ids=lambda x: getattr(x, "__name__", str(x)))
+def test_constructors_hold_each_declared_range(cls, name, value, accepted):
+    if accepted:
+        assert getattr(config_with(cls, name, value), name) == value
+    else:
+        with pytest.raises(ConfigError):
+            config_with(cls, name, value)
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (cls, name, value) for cls, name, _, _ in _RANGES
+    for value in (float("nan"), float("inf"), float("-inf"))],
+    ids=lambda x: getattr(x, "__name__", str(x)))
 def test_constructors_reject_non_finite_numbers(cls, name, value):
     # a bound alone lets NaN through (it compares false) and often +inf too
     with pytest.raises(ConfigError, match=f"{name}={value} must be finite"):
-        cls(**{name: value})
+        config_with(cls, name, value)
+
+
+def test_every_numeric_config_field_is_bounded():
+    # `dt` and `through_lanes` accept one value each until the manifest keys
+    # are deleted at the next benchmark re-record
+    numeric = {(cls, f.name) for cls in {c for c, *_ in _RANGES}
+               for f in dataclasses.fields(cls) if f.type in ("int", "float")}
+    assert numeric - {(c, n) for c, n, *_ in _RANGES} == {
+        (ScenarioConfig, "dt"), (GeometryConfig, "through_lanes")}
+    for cls, name, _, _ in _RANGES:
+        assert "range" in cls.__dataclass_fields__[name].metadata, name
 
 
 @pytest.mark.parametrize("bad", [
@@ -606,10 +684,15 @@ def test_cli_experiment_writes_every_artifact(tmp_path, capsys):
             for name in EXPERIMENT_GOLDEN} == EXPERIMENT_GOLDEN
 
 
-def test_experiment_without_upstream_intersection_exits_2(tmp_path, capsys):
-    # the upstream detector needs an upstream intersection; one intersection
-    # is still a valid scenario
-    cfg = short_cfg(attack=AttackConfig(), geometry=GeometryConfig(intersections=1))
+@pytest.mark.parametrize("kw", [
+    {"geometry": GeometryConfig(intersections=1)},
+    {"duration": 400.0, "warmup": 190.0, "cooldown": 200.0}],
+    ids=["one_intersection", "window_shorter_than_training"])
+def test_experiment_without_upstream_intersection_exits_2(tmp_path, capsys, kw):
+    # the upstream detector needs an upstream intersection, and training needs
+    # lookback windows on both sides of the 70/30 split of the analysis window
+    # (10 s here); either is still a valid scenario, and fails before any run
+    cfg = short_cfg(attack=AttackConfig(), **kw)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
     out = tmp_path / "exp"
@@ -684,6 +767,22 @@ def test_benchmark_probes_resolve(monkeypatch):
         if cls:
             owner = getattr(owner, cls)
         assert callable(getattr(owner, probe.attr, None)), probe.metric
+
+
+@pytest.mark.parametrize("name", ["closed_loop", "saturated"])
+def test_benchmark_digests_equal_the_reference(monkeypatch, tmp_path, name):
+    # a full-length benchmark run counts each artifact whose digest moved from
+    # `reference.json` as a failed op; `experiment` is left out, since its
+    # loss and verdict bytes depend on the BLAS
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    reference = json.loads((bench / "reference.json").read_text())[name]
+    workload = workloads.WORKLOADS[name]()
+    assert workload.sizes == reference["sizes"]
+    out = tmp_path / "out"
+    ops = workload.run(workload.prepare(reference["seed"], tmp_path), out)
+    assert workloads.digests(ops, out) == reference["digests"]
 
 
 def test_hot_path_reaches_every_probe(monkeypatch, tmp_path):

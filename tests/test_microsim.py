@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atsclab.microsim import (CarFollowingParams, Vehicle, World, _front_first,
+from atsclab.microsim import (CarFollowingParams, TurnSplit, Vehicle, World, _front_first,
                               _sort_front_first, krauss_safe_speed, update_waiting)
 from atsclab.roadnet import Movement, build_arterial_network
 
@@ -271,6 +271,35 @@ def test_route_sampling_reaches_an_exit(net):
             assert net.edges[route[-1]].to is None
             for a, b in zip(route, route[1:]):
                 assert net.stream_of(a, b) is not None
+
+
+def choice_route(world, entry, split):
+    """`World.sample_route` as it was, drawing each turn with `Generator.choice`."""
+    route = [entry]
+    turns = ("T", "L", "R")
+    while world.net.edges[route[-1]].to is not None:
+        conns = world.net.connections_from(route[-1])
+        choice = turns[int(world.rng.choice(len(turns), p=split))]
+        for c in conns:
+            if c.stream.turn == choice:
+                route.append(c.out_edge)
+                break
+    return route
+
+
+@pytest.mark.parametrize("split", [(0.7, 0.15, 0.15), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                   (0.0, 0.0, 1.0), (0.5, 0.0, 0.5), (0.1, 0.2, 0.7),
+                                   (1 / 3, 1 / 3, 1 / 3)])
+def test_route_turns_equal_generator_choice(net, split):
+    """Bisecting the cumulative split draws the turn `rng.choice(3, p=split)`
+    draws and leaves the same generator state, zero shares included."""
+    for seed in range(3):
+        world, ref = (World(net, CarFollowingParams(), 150.0, TurnSplit(*split), seed=seed)
+                      for _ in range(2))
+        for i in range(300):
+            entry = net.entries[i % len(net.entries)]
+            assert world.sample_route(entry) == choice_route(ref, entry, split)
+        assert world.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
 # -- lane order ------------------------------------------------------------------
