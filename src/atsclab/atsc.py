@@ -7,7 +7,6 @@ still holds the maximum, the change interval is skipped and green continues.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -59,23 +58,13 @@ def right_of_way(kind: PhaseKind, movement: Movement | None) -> frozenset[Moveme
     return _RELEASED[movement]
 
 
-@dataclass
-class PhaseRecord:
-    t: float
-    node: str
-    kind: PhaseKind
-    movement: Movement | None
-    seconds_in_phase: float
-
-
 class SignalController:
     """One controller per signalized node; tick exactly once per second."""
 
     def __init__(self, node: str) -> None:
         self.node = node
         self.kind = PhaseKind.ALL_RED
-        self.movement: Movement | None = None      # green target / incumbent
-        self.from_movement: Movement | None = None
+        self.movement: Movement | None = None   # green, or the green a change interval ends
         self.phase_entry = 0.0
         self.next_checkpoint: float | None = None
         self._last_tick: float | None = None
@@ -94,7 +83,6 @@ class SignalController:
                 # winner re-evaluated at green onset, from the latest sample
                 self.kind = PhaseKind.GREEN
                 self.movement = select_green(aawt, None)
-                self.from_movement = None
                 self.phase_entry = t
                 self.next_checkpoint = t + CHECKPOINT_INTERVAL
         elif self.kind is PhaseKind.GREEN:
@@ -105,12 +93,6 @@ class SignalController:
                     self.next_checkpoint = t + CHECKPOINT_INTERVAL
                 else:
                     self.kind = PhaseKind.YELLOW
-                    self.from_movement = self.movement
                     self.phase_entry = t
                     self.next_checkpoint = None
         return right_of_way(self.kind, self.movement)
-
-    def record(self, t: float) -> PhaseRecord:
-        movement = self.movement if self.kind is PhaseKind.GREEN else self.from_movement
-        return PhaseRecord(t=t, node=self.node, kind=self.kind,
-                           movement=movement, seconds_in_phase=t - self.phase_entry)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 from .atsc import movement_aawt
 from .errors import ConfigError, bounded, check_ranges
@@ -29,27 +29,36 @@ class AttackMode(Enum):
 
 @dataclass(frozen=True)
 class FixedRatePolicy:
+    kind: ClassVar[str] = "fixed_rate"      # the JSON `kind`; not a field
     rate_vph: float = bounded(360.0, at_least=0)
 
     def __post_init__(self) -> None:
-        check_ranges("policy", self)
+        check_ranges(self)
+
+    def rate_cap(self) -> float:
+        """Injections per hour at most; 0 never injects."""
+        return self.rate_vph
+
+    def warrants(self, target_aawt: float, best_other_aawt: float) -> bool:
+        """Whether to inject, given the attacker's eavesdropped AAWT view."""
+        return True
 
 
 @dataclass(frozen=True)
 class ControllerAwarePolicy:
     """Inject only when the target approach is close to winning green."""
+    kind: ClassVar[str] = "controller_aware"
     margin: float = bounded(0.5, at_least=0)           # s/veh
     max_rate_vph: float = bounded(360.0, at_least=0)
 
     def __post_init__(self) -> None:
-        check_ranges("policy", self)
+        check_ranges(self)
 
+    def rate_cap(self) -> float:
+        return self.max_rate_vph
 
-def injection_rate(policy: FixedRatePolicy | ControllerAwarePolicy) -> float:
-    """The policy's injection rate (cap), vehicles per hour; 0 never injects."""
-    if isinstance(policy, FixedRatePolicy):
-        return policy.rate_vph
-    return policy.max_rate_vph
+    def warrants(self, target_aawt: float, best_other_aawt: float) -> bool:
+        return target_aawt >= best_other_aawt - self.margin
 
 
 @dataclass(frozen=True)
@@ -65,7 +74,7 @@ class AttackConfig:
     initial_speed_factor: float = bounded(0.8, at_least=0, at_most=1)
 
     def __post_init__(self) -> None:
-        check_ranges("attack", self)
+        check_ranges(self)
         if self.target_approach != "EB":
             raise ConfigError("only the subject EB approach is supported as a target")
 
@@ -88,14 +97,6 @@ def can_insert(lane: list[Vehicle], initial_speed: float,
     """
     return (entry_cell_clear(lane, params)
             and entry_speed(lane, initial_speed, params) == initial_speed)
-
-
-def injection_warranted(policy: FixedRatePolicy | ControllerAwarePolicy,
-                        target_aawt: float, best_other_aawt: float) -> bool:
-    """Policy predicate, given the attacker's eavesdropped AAWT view."""
-    if isinstance(policy, FixedRatePolicy):
-        return True
-    return target_aawt >= best_other_aawt - policy.margin
 
 
 class SlowPoisoningAttacker:
@@ -121,7 +122,7 @@ class SlowPoisoningAttacker:
     # -- shared decision logic ----------------------------------------------
 
     def _headway(self) -> float:
-        rate = injection_rate(self.cfg.policy)
+        rate = self.cfg.policy.rate_cap()
         return max(self.cfg.min_headway, 3600.0 / rate) if rate > 0 else float("inf")
 
     def _wants_injection(self, t: float, sample: FeatureSample | None,
@@ -138,7 +139,7 @@ class SlowPoisoningAttacker:
             return False, "no-telemetry"
         # EBL and EBT, the target approach's movements, lead MOVEMENT_ORDER
         aawt = movement_aawt(sample.movement_counts, sample.movement_awt)
-        if not injection_warranted(self.cfg.policy, max(aawt[:2]), max(aawt[2:])):
+        if not self.cfg.policy.warrants(max(aawt[:2]), max(aawt[2:])):
             return False, "dilution-unneeded"
         return True, "inject"
 
@@ -182,9 +183,7 @@ class SlowPoisoningAttacker:
             self._phantom_seq += 1
             v = Vehicle(vid=f"x{self._phantom_seq:05d}", provenance=FAKE,
                         route=list(self.route), route_index=0, lane=THROUGH_LANE,
-                        pos=0.0, speed=self._initial_speed(), entry_time=t,
-                        length=self.params.vehicle_length,
-                        min_gap=self.params.min_gap)
+                        pos=0.0, speed=self._initial_speed())
             self.phantoms.append(v)
             self.last_injection = t
             self.events.append(AttackEvent(t, v.vid, "inject", "phantom", state))

@@ -40,8 +40,7 @@ def _cmd_train(args) -> int:
     _check_out_dir(args.out)
     cfg = _config(args.config)
     samples = load_feature_log(args.features)
-    window = [s for s in samples
-              if cfg.analysis_start <= s.t < cfg.analysis_end] or samples
+    window = [s for s in samples if cfg.in_analysis(s.t)] or samples
     tcfg = cfg.detector.training
     if args.epochs is not None:
         tcfg = replace(tcfg, epochs=args.epochs)
@@ -81,6 +80,9 @@ def _cmd_sweep(args) -> int:
     attack = cfg.attack or AttackConfig()
     if not isinstance(attack.policy, ControllerAwarePolicy):
         raise ConfigError("sweep needs a controller_aware attack policy")
+    if cfg.analysis_seconds == 0:
+        raise ConfigError(f"the analysis window [{cfg.analysis_start:g}, "
+                          f"{cfg.analysis_end:g}) s holds no sampled second")
     # every config is built, and so checked, before the first run
     free_cfg = replace(cfg, attack=None)
     rate_cfgs = [(rate, replace(cfg, attack=replace(

@@ -25,7 +25,7 @@ _BOUND_TESTS = ((operator.lt, ">="), (operator.le, ">"), (operator.gt, "<="),
                 (operator.ge, "<"))
 
 
-def check_ranges(owner: str, config) -> None:
+def check_ranges(config) -> None:
     """A ConfigError naming the first `bounded` field of `config` whose value
     is NaN or infinite, not whole where its default is an int, or out of its
     range. Finiteness comes first: a bound alone lets NaN through."""
@@ -34,7 +34,7 @@ def check_ranges(owner: str, config) -> None:
         if bounds is None:
             continue
         value = getattr(config, f.name)
-        where = f"{owner}.{f.name}={value}"
+        where = f"{f.name}={value}"
         if not (isinstance(value, int) or math.isfinite(value)):   # an int may overflow a float
             raise ConfigError(f"{where} must be finite")
         if isinstance(f.default, int) and value != int(value):

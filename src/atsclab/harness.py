@@ -37,7 +37,7 @@ from .roadnet import GeometryConfig, Heading, build_arterial_network
 from .svgplot import ChartStyle, Series, render_svg
 
 OUTPUT_ROOT_ENV = "ATSCLAB_OUT"
-_POLICY_KINDS = {"fixed_rate": FixedRatePolicy, "controller_aware": ControllerAwarePolicy}
+_POLICY_KINDS = {c.kind: c for c in (FixedRatePolicy, ControllerAwarePolicy)}
 
 
 def fmt(x: float) -> str:
@@ -80,9 +80,9 @@ class DetectorSettings:
     hidden2: int = bounded(8, at_least=1)
 
     def __post_init__(self) -> None:
-        check_ranges("detector", self)
+        check_ranges(self)
         if self.mode != "baseline":
-            raise ConfigError(f"detector.mode={self.mode!r} is not read; "
+            raise ConfigError(f"mode={self.mode!r} is not read; "
                               f"experiments train both feature modes")
 
 
@@ -107,7 +107,7 @@ class ScenarioConfig:
     log_trajectories: bool = False
 
     def __post_init__(self) -> None:
-        check_ranges("config", self)
+        check_ranges(self)
         if self.dt != 1.0:
             raise ConfigError(f"dt={self.dt}: the simulation steps once per second")
         if not float(self.duration).is_integer():
@@ -123,17 +123,22 @@ class ScenarioConfig:
     def analysis_end(self) -> float:
         return self.duration - self.cooldown
 
+    def in_analysis(self, t: float) -> bool:
+        return self.analysis_start <= t < self.analysis_end
+
+    @property
+    def analysis_seconds(self) -> int:
+        """How many of the sampled seconds 1..duration the window holds."""
+        return sum(map(self.in_analysis, range(1, int(self.duration) + 1)))
+
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
         d = asdict(self)
         if self.attack is not None:
             d["attack"]["mode"] = self.attack.mode.value
-            d["attack"]["policy"] = {
-                "kind": next(k for k, c in _POLICY_KINDS.items()
-                             if isinstance(self.attack.policy, c)),
-                **asdict(self.attack.policy),
-            }
+            d["attack"]["policy"] = {"kind": self.attack.policy.kind,
+                                     **asdict(self.attack.policy)}
         return d
 
     @classmethod
@@ -162,7 +167,8 @@ def _from_dict(cls, d, where: str):
     Unknown keys and values whose type differs from the field default's are
     ConfigErrors rather than a TypeError at construction or a wrong run
     later; NaN and infinite numbers, which `json.load` accepts, fail the
-    class's own range checks.
+    class's own range checks. An error the class raises is prefixed with
+    `where`, the object's JSON path.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object, got {d!r}")
@@ -181,19 +187,22 @@ def _from_dict(cls, d, where: str):
         elif isinstance(default, Enum) or not _same_type(value, default):
             raise ConfigError(f"{where}.{key} must be {type(default).__name__}, "
                               f"got {value!r}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _attack_from_dict(a) -> AttackConfig:
     if isinstance(a, dict) and "policy" in a:
         pol = a["policy"]
-        kind = pol.get("kind", "controller_aware") if isinstance(pol, dict) else None
+        kind = pol.get("kind", ControllerAwarePolicy.kind) if isinstance(pol, dict) else None
         if not isinstance(kind, str) or kind not in _POLICY_KINDS:
             raise ConfigError(f"unknown attack policy {pol!r}")
         a = {**a, "policy": _from_dict(_POLICY_KINDS[kind],
                                        {k: v for k, v in pol.items() if k != "kind"},
-                                       "attack.policy")}
-    return _from_dict(AttackConfig, a, "attack")
+                                       "config.attack.policy")}
+    return _from_dict(AttackConfig, a, "config.attack")
 
 
 _JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str}
@@ -274,8 +283,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
             t = float(k)
             world.step(row_map)
 
-            in_analysis = cfg.analysis_start <= t < cfg.analysis_end
-            if in_analysis:
+            if cfg.in_analysis(t):
                 for v in world.vehicles.values():
                     if (v.provenance == REAL and v.edge_id == eb_edge
                             and v.speed <= WAITING_SPEED):
@@ -306,10 +314,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
                 at = control_stats[n]
                 aawt = atsc.movement_aawt(at.movement_counts, at.movement_awt)
                 row_map[n] = ctrl.tick(aawt, t)
-                rec = ctrl.record(t)
-                phase_rows.append([ft, n, rec.kind.value,
-                                   rec.movement.value if rec.movement else "",
-                                   fmt(rec.seconds_in_phase)])
+                phase_rows.append([ft, n, ctrl.kind.value,
+                                   ctrl.movement.value if ctrl.movement else "",
+                                   fmt(t - ctrl.phase_entry)])
 
             # one line per row of `fmt` fields, and no field needs csv quoting;
             # zero speeds and waits, about half of them, take their text by
@@ -344,8 +351,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
                   fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
-    analysis = [s for s in samples
-                if cfg.analysis_start <= s.t < cfg.analysis_end]
+    analysis = [s for s in samples if cfg.in_analysis(s.t)]
     inject_times = [e.t for e in events if e.action == "inject"]
     return RunArtifacts(feature_log=feature_log, analysis_samples=analysis,
                         inject_times=inject_times,
@@ -383,11 +389,9 @@ def run_experiment(cfg: ScenarioConfig, out_dir) -> Path:
         raise ConfigError("experiment config needs an attack section")
     if cfg.geometry.intersections < 2:
         raise ConfigError("the upstream detector needs geometry.intersections >= 2")
-    seconds = sum(cfg.analysis_start <= k < cfg.analysis_end
-                  for k in range(1, int(cfg.duration) + 1))
-    if train_boundary(seconds, cfg.detector.training.lookback) is None:
-        raise ConfigError(f"an analysis window of {seconds} s is too short to train "
-                          f"and validate with lookback {cfg.detector.training.lookback}")
+    if train_boundary(cfg.analysis_seconds, cfg.detector.training.lookback) is None:
+        raise ConfigError(f"an analysis window of {cfg.analysis_seconds} s is too short to "
+                          f"train and validate with lookback {cfg.detector.training.lookback}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -409,8 +413,7 @@ def run_experiment(cfg: ScenarioConfig, out_dir) -> Path:
 
     # surge accounting is scoped to the analysis window: verdicts only exist
     # there, so later injections cannot be flagged by construction
-    window_injects = [t for t in attacked.inject_times
-                      if cfg.analysis_start <= t < cfg.analysis_end]
+    window_injects = [t for t in attacked.inject_times if cfg.in_analysis(t)]
 
     reports = {}
     for mode, spec in specs.items():

@@ -35,7 +35,7 @@ class TurnSplit:
     right: float = bounded(0.15, at_least=0)
 
     def __post_init__(self) -> None:
-        check_ranges("turn_split", self)
+        check_ranges(self)
         if abs(self.through + self.left + self.right - 1.0) > 1e-9:
             raise ConfigError("turn split needs through/left/right shares summing to 1")
 
@@ -50,7 +50,7 @@ class CarFollowingParams:
     min_gap: float = bounded(2.5, at_least=0)       # m
 
     def __post_init__(self) -> None:
-        check_ranges("car_following", self)
+        check_ranges(self)
 
 
 def krauss_safe_speed(v_follower: float, v_leader: float, gap: float,
@@ -75,9 +75,6 @@ class Vehicle:
     lane: int
     pos: float                    # front-bumper longitudinal position, m
     speed: float
-    entry_time: float
-    length: float = 5.0
-    min_gap: float = 2.5
     waiting: float = 0.0          # resetting waiting timer, s
 
     @property
@@ -110,7 +107,7 @@ def entry_cell_clear(lane: Sequence[Vehicle], params: CarFollowingParams) -> boo
     """True iff no vehicle in `lane` has its rear within one cell (vehicle
     length plus minimum gap) of the edge start."""
     cell = params.vehicle_length + params.min_gap
-    return all(w.pos - w.length >= cell for w in lane)
+    return all(w.pos - params.vehicle_length >= cell for w in lane)
 
 
 def entry_speed(lane: Sequence[Vehicle], speed: float,
@@ -120,7 +117,7 @@ def entry_speed(lane: Sequence[Vehicle], speed: float,
     if not lane:
         return speed
     w = lane[-1]
-    gap = w.pos - w.length - params.min_gap
+    gap = w.pos - params.vehicle_length - params.min_gap
     return min(speed, krauss_safe_speed(speed, w.speed, gap, params))
 
 
@@ -152,7 +149,6 @@ class World:
         self._turn_cdf = cdf.tolist()
         self.cumulative_waiting_mode = cumulative_waiting_mode
         self.rng = np.random.default_rng(seed)
-        self.clock = 0.0
         self.vehicles: dict[str, Vehicle] = {}
         self.deferred: dict[str, deque[list[str]]] = {e: deque() for e in net.entries}
         self.entered = 0
@@ -206,7 +202,7 @@ class World:
         leaders; for a signal stop it is the distance to the stop line.
         """
         if ahead is not None:
-            gap = ahead.pos - ahead.length - vehicle.pos - vehicle.min_gap
+            gap = ahead.pos - self.params.vehicle_length - vehicle.pos - self.params.min_gap
             return ahead.speed, gap
 
         edge = self.net.edges[vehicle.edge_id]
@@ -227,7 +223,7 @@ class World:
         downstream = occ.get((nxt, nxt_lane), ())
         if downstream:
             w = downstream[-1]  # nearest to that edge's start
-            gap = dist_end + w.pos - w.length - vehicle.min_gap
+            gap = dist_end + w.pos - self.params.vehicle_length - self.params.min_gap
             return w.speed, gap
         return None
 
@@ -269,7 +265,7 @@ class World:
     def step(self, row_map: dict[str, frozenset[Movement]]) -> None:
         """Advance one second under the given per-node right-of-way map."""
         p = self.params
-        accel = p.max_accel
+        accel, length, min_gap = p.max_accel, p.vehicle_length, p.min_gap
         edges = self.net.edges
         occ = self.occupancy()
         # (edge, lane, -pos, vid) order: the dawdle draws follow it, and
@@ -284,7 +280,7 @@ class World:
             for v in lane[1:]:
                 # `_next_speed` with `ahead` as the leader: only a lane's
                 # front looks past it
-                gap = ahead.pos - ahead.length - v.pos - v.min_gap
+                gap = ahead.pos - length - v.pos - min_gap
                 new_speed.append(min(v.speed + accel, limit,
                                      krauss_safe_speed(v.speed, ahead.speed, gap, p)))
                 ahead = v
@@ -306,7 +302,6 @@ class World:
             else:
                 update_waiting(v, cumulative)
 
-        self.clock += 1.0
         # only arrivals enter an entry edge, so its lanes now hold what they
         # held at the start of the step, less the vehicles that left them
         entry_lanes = {key: [v for v in lane if v.route_index == 0 and v.vid in self.vehicles]
@@ -372,8 +367,7 @@ class World:
         queue = occ.setdefault((entry, lane), [])
         v = Vehicle(vid=self._new_id(provenance), provenance=provenance,
                     route=route, route_index=0, lane=lane, pos=0.0,
-                    speed=entry_speed(queue, speed, self.params), entry_time=self.clock,
-                    length=self.params.vehicle_length, min_gap=self.params.min_gap)
+                    speed=entry_speed(queue, speed, self.params))
         self.vehicles[v.vid] = v
         insort(queue, v, key=_front_first)
         self.entered += 1

@@ -28,7 +28,7 @@ class TrainingConfig:
     seed: int = bounded(0, at_least=0)
 
     def __post_init__(self) -> None:
-        check_ranges("training", self)
+        check_ranges(self)
 
 
 @dataclass

@@ -112,7 +112,7 @@ class GeometryConfig:
     pocket_length: float = bounded(50.0, above=0)
 
     def __post_init__(self) -> None:
-        check_ranges("geometry", self)
+        check_ranges(self)
         if self.through_lanes != 1:
             raise ConfigError(f"through_lanes={self.through_lanes}: the microsim "
                               f"drives exactly one through lane")

@@ -199,13 +199,12 @@ def test_criterion_03_microsim_safety(out_root):
     for i, pos in enumerate([280.0, 240.0, 200.0, 160.0]):
         world.vehicles[f"q{i}"] = Vehicle(
             vid=f"q{i}", provenance="real", lane=0, pos=pos, speed=10.0,
-            route=["I0_in_E", "link_I0_I1_E", "I1_out_E"], route_index=0,
-            entry_time=0.0)
+            route=["I0_in_E", "link_I0_I1_E", "I1_out_E"], route_index=0)
     red = {n: frozenset() for n in net.nodes}
     for _ in range(120):
         world.step(red)
     queue = sorted(world.vehicles.values(), key=lambda v: -v.pos)
-    gaps = [a.pos - a.length - b.pos for a, b in zip(queue, queue[1:])]
+    gaps = [a.pos - params.vehicle_length - b.pos for a, b in zip(queue, queue[1:])]
     min_gap_ok = all(g >= params.min_gap - 1e-9 for g in gaps)
 
     ok = negative == 0 and min_gap_ok

@@ -1,10 +1,14 @@
+import csv
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from atsclab.atsc import (ALL_RED_DURATION, CHECKPOINT_INTERVAL, YELLOW_DURATION,
                           PhaseKind, SignalController, compute_aawt, right_of_way,
                           select_green)
+from atsclab.attacker import AttackConfig, AttackMode, FixedRatePolicy
 from atsclab.errors import DataError
+from atsclab.harness import ScenarioConfig, run_scenario
 from atsclab.roadnet import MOVEMENT_ORDER, Movement
 
 
@@ -208,12 +212,22 @@ def test_replay_determinism():
     assert traces[0] == traces[1]
 
 
-def test_phase_record_reflects_state():
-    ctrl = SignalController("I1")
-    ctrl.tick(table(EBT=1.0), 0.0)
-    ctrl.tick(table(EBT=1.0), 1.0)
-    r = ctrl.record(3.0)
-    assert r.kind is PhaseKind.GREEN
-    assert r.movement is Movement.EBT
-    assert r.seconds_in_phase == 2.0
-    assert r.node == "I1"
+@pytest.mark.parametrize("mode", [None, AttackMode.PHYSICAL, AttackMode.PHANTOM],
+                         ids=["free", "physical", "phantom"])
+def test_change_interval_rows_name_the_green_they_end(tmp_path, mode):
+    # `phases.csv` writes the controller's `movement` in every row, so a
+    # yellow or all-red row names the green before it at its node
+    attack = (AttackConfig(start=0.0, mode=mode, policy=FixedRatePolicy())
+              if mode is not None else None)
+    run_scenario(ScenarioConfig(duration=600.0, warmup=0.0, cooldown=0.0,
+                                demand_vph=400.0, attack=attack), tmp_path)
+    last_green: dict[str, str] = {}
+    ended = 0
+    with open(tmp_path / "phases.csv", newline="") as fh:
+        for r in csv.DictReader(fh):
+            if r["phase"] == PhaseKind.GREEN.value:
+                last_green[r["node"]] = r["movement"]
+            else:
+                assert r["movement"] == last_green.get(r["node"], ""), r
+                ended += r["node"] in last_green
+    assert ended > 0 and all(last_green.values())

@@ -4,7 +4,7 @@ import pytest
 
 from atsclab.attacker import (AttackConfig, AttackMode, ControllerAwarePolicy,
                               FixedRatePolicy, SlowPoisoningAttacker,
-                              can_insert, injection_warranted)
+                              can_insert)
 from atsclab.errors import ConfigError
 from atsclab.microsim import WAITING_SPEED, CarFollowingParams, Vehicle, World
 from atsclab.msgplane import (BsmRecord, feeder_streams, node_stream_stats,
@@ -42,7 +42,7 @@ def eb_sample(net, t, n_eb=3, waiting_each=10.0, other=0.0):
 def lane_vehicle(pos, speed):
     """A 5 m vehicle on the injection lane."""
     return Vehicle(vid="a", provenance="real", route=["e"], route_index=0,
-                   lane=0, pos=pos, speed=speed, entry_time=0.0)
+                   lane=0, pos=pos, speed=speed)
 
 
 def test_can_insert_empty_edge():
@@ -65,17 +65,17 @@ def test_can_insert_far_leader_ok():
     assert can_insert([lane_vehicle(250.0, 13.0)], 11.1, PARAMS)
 
 
-# -- injection_warranted -----------------------------------------------------
+# -- policy warrants ---------------------------------------------------------
 
 def test_fixed_rate_always_warranted():
-    assert injection_warranted(FixedRatePolicy(), 0.0, 100.0)
+    assert FixedRatePolicy().warrants(0.0, 100.0)
 
 
 def test_controller_aware_margin_predicate():
     pol = ControllerAwarePolicy(margin=0.5)
-    assert injection_warranted(pol, 9.8, 9.5)       # already winning
-    assert injection_warranted(pol, 9.1, 9.5)       # within margin
-    assert not injection_warranted(pol, 8.9, 9.5)   # safely losing: hold fire
+    assert pol.warrants(9.8, 9.5)       # already winning
+    assert pol.warrants(9.1, 9.5)       # within margin
+    assert not pol.warrants(8.9, 9.5)   # safely losing: hold fire
 
 
 # -- config validation -------------------------------------------------------
@@ -188,7 +188,7 @@ def test_phantom_fakes_obey_physics(net):
         fakes = sorted((p for p in atk.phantoms if p.edge_id == atk.entry_edge),
                        key=lambda p: -p.pos)
         for lead, follow in zip(fakes, fakes[1:]):
-            assert lead.pos - lead.length - follow.pos >= 0.0
+            assert lead.pos - PARAMS.vehicle_length - follow.pos >= 0.0
 
 
 def test_phantom_fakes_stop_at_red_and_accrue_waiting(net):

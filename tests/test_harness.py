@@ -218,6 +218,19 @@ def test_malformed_config_exits_2(tmp_path, capsys, bad):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("bad, where", [
+    ({"attack": {"policy": {"margin": float("nan")}}}, "attack.policy: margin=nan"),
+    ({"detector": {"training": {"epochs": 0}}}, "detector.training: epochs=0")])
+def test_config_error_names_the_json_path(tmp_path, capsys, bad, where):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(bad))
+    out = tmp_path / "sim"
+    assert cli_main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: config.{where}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_config_json_round_trip(tmp_path):
     cfg = short_cfg(attack=AttackConfig(start=100.0, mode=AttackMode.PHANTOM))
     p = tmp_path / "cfg.json"
@@ -721,12 +734,15 @@ def test_cli_sweep(tmp_path, capsys):
     assert cli_main(["sweep", "--config", str(empty), "--rates", "360",
                      "--out", str(tmp_path / "empty")]) == 0
     assert "(  infx)" in capsys.readouterr().out.splitlines()[1]
-    # a bad rate or a policy without a rate cap is a ConfigError before any run
+    # a bad rate, a policy without a rate cap or an analysis window that
+    # holds no sampled second (here [0, 0.5) s) is a ConfigError before any run
     fixed = tmp_path / "fixed.json"
     fixed.write_text(json.dumps(
         short_cfg(attack=AttackConfig(policy=FixedRatePolicy())).to_dict()))
+    no_window = tmp_path / "no_window.json"
+    no_window.write_text(json.dumps({"duration": 2.0, "warmup": 0.0, "cooldown": 1.5}))
     for args in (["--config", str(path), "--rates", "120", "-5"],
-                 ["--config", str(fixed)]):
+                 ["--config", str(fixed)], ["--config", str(no_window)]):
         bad_out = tmp_path / "bad"
         assert cli_main(["sweep", *args, "--out", str(bad_out)]) == 2
         assert "Traceback" not in capsys.readouterr().err

@@ -57,7 +57,7 @@ def test_safe_speed_never_negative(v, vl, gap):
 
 def vehicle(speed, waiting=0.0):
     return Vehicle(vid="v1", provenance="real", route=["I0_in_E"], route_index=0,
-                   lane=0, pos=0.0, speed=speed, entry_time=0.0, waiting=waiting)
+                   lane=0, pos=0.0, speed=speed, waiting=waiting)
 
 
 def test_waiting_accrues_below_threshold():
@@ -91,8 +91,7 @@ def test_free_flow_acceleration_profile(net):
     world = make_world(net, demand=0.0, sigma=0.0)
     world.vehicles["v1"] = Vehicle(vid="v1", provenance="real",
                                    route=["I0_in_E", "link_I0_I1_E", "I1_out_E"],
-                                   route_index=0, lane=0, pos=0.0, speed=0.0,
-                                   entry_time=0.0)
+                                   route_index=0, lane=0, pos=0.0, speed=0.0)
     row = all_green(net)
     limit = net.edges["I0_in_E"].speed_limit
     prev = 0.0
@@ -110,7 +109,7 @@ def test_vehicle_holds_at_stop_line_under_red(net):
     world.vehicles["v1"] = Vehicle(vid="v1", provenance="real",
                                    route=["I0_in_E", "link_I0_I1_E", "I1_out_E"],
                                    route_index=0, lane=0, pos=edge.length - 0.5,
-                                   speed=0.0, entry_time=0.0)
+                                   speed=0.0)
     for _ in range(5):
         world.step(all_red(net))
     v = world.vehicles["v1"]
@@ -126,13 +125,12 @@ def test_stopped_platoon_respects_min_gap(net):
         vid = f"v{i}"
         world.vehicles[vid] = Vehicle(vid=vid, provenance="real",
                                       route=["I0_in_E", "link_I0_I1_E", "I1_out_E"],
-                                      route_index=0, lane=0, pos=pos, speed=10.0,
-                                      entry_time=0.0)
+                                      route_index=0, lane=0, pos=pos, speed=10.0)
     for _ in range(100):
         world.step(all_red(net))
     leader = world.vehicles["v0"]
     follower = world.vehicles["v1"]
-    gap = leader.pos - leader.length - follower.pos
+    gap = leader.pos - world.params.vehicle_length - follower.pos
     assert gap >= 2.5
     assert gap < 10.0  # queue actually compacted
 
@@ -149,7 +147,7 @@ def test_no_collisions_with_dawdling(net):
         occ = world.occupancy()
         for vehicles in occ.values():
             for lead, follow in zip(vehicles, vehicles[1:]):
-                assert lead.pos - lead.length - follow.pos >= 0.0
+                assert lead.pos - world.params.vehicle_length - follow.pos >= 0.0
 
 
 def test_speed_bounds(net):
@@ -224,7 +222,7 @@ EB_ROUTE = ["I0_in_E", "link_I0_I1_E", "I1_out_E"]
 
 def eb_vehicle(vid, pos, speed, provenance="real"):
     return Vehicle(vid=vid, provenance=provenance, route=list(EB_ROUTE),
-                   route_index=0, lane=0, pos=pos, speed=speed, entry_time=0.0)
+                   route_index=0, lane=0, pos=pos, speed=speed)
 
 
 def test_overlay_leader_is_nearest_after_an_overlay_vehicle_passes(net):
@@ -235,7 +233,8 @@ def test_overlay_leader_is_nearest_after_an_overlay_vehicle_passes(net):
     assert world.step_overlay([x1, x2], all_red(net)) == []
     # r1 has already moved this second, so x1's Krauss speed carries it past
     assert x1.pos > real.pos
-    gap = real.pos - real.length - 85.0 - x2.min_gap
+    p = world.params
+    gap = real.pos - p.vehicle_length - 85.0 - p.min_gap
     assert x2.speed == krauss_safe_speed(13.0, real.speed, gap, world.params)
 
 
@@ -243,7 +242,7 @@ def test_overlay_is_invisible_to_real_vehicles(net):
     def snapshot(world):
         return (sorted((v.vid, v.edge_id, v.lane, v.pos, v.speed, v.waiting)
                        for v in world.vehicles.values()),
-                world.entered, world.exited, world.clock,
+                world.entered, world.exited,
                 world.rng.bit_generator.state)
 
     plain = make_world(net, seed=5, demand=600.0)
@@ -345,7 +344,6 @@ def reference_step(world, row_map, found):
             del world.vehicles[v.vid]
     for v in world.vehicles.values():
         update_waiting(v, world.cumulative_waiting_mode)
-    world.clock += 1.0
     world.spawn_arrivals({k: vs for k, vs in world.occupancy().items()
                           if world.net.edges[k[0]].frm is None})
 
@@ -354,7 +352,7 @@ def bits(world):
     """Everything `step` changes, floats by their bits."""
     return ([(v.vid, v.route_index, v.lane, v.pos.hex(), v.speed.hex(), v.waiting.hex())
              for v in sorted(world.vehicles.values(), key=lambda v: v.vid)],
-            world.entered, world.exited, world.clock, world.rng.bit_generator.state,
+            world.entered, world.exited, world.rng.bit_generator.state,
             {e: list(q) for e, q in world.deferred.items()})
 
 
@@ -388,7 +386,7 @@ def test_leaders_and_step_order_come_from_the_lane_order(net, seed):
 def test_two_stable_sorts_give_the_front_first_order(cells):
     # vehicles in one lane never share a position, so only this pins the tie order
     lane = [Vehicle(vid=f"r{n:05d}", provenance="real", route=["I0_in_E"], route_index=0,
-                    lane=0, pos=pos, speed=0.0, entry_time=0.0) for pos, n in cells]
+                    lane=0, pos=pos, speed=0.0) for pos, n in cells]
     got = list(lane)
     _sort_front_first(got)
     assert got == sorted(lane, key=_front_first)

@@ -27,7 +27,7 @@ def sample(records, net, t, attack_active=False):
 def test_emit_bsm_copies_kinematics():
     v = Vehicle(vid="r1", provenance="real",
                 route=["link_I0_I1_E", "I1_out_E"], route_index=0, lane=0,
-                pos=120.0, speed=8.0, entry_time=0.0)
+                pos=120.0, speed=8.0)
     b = emit_bsm(v, 10.0)
     assert (b.t, b.vehicle_id, b.edge_id, b.lane_pos, b.speed, b.waiting) == \
         (10.0, "r1", "link_I0_I1_E", 120.0, 8.0, 0.0)
@@ -36,9 +36,9 @@ def test_emit_bsm_copies_kinematics():
 
 def test_fake_record_has_no_distinguishing_field():
     real = Vehicle(vid="a", provenance="real", route=["I0_in_E", "I0_out_N"],
-                   route_index=0, lane=1, pos=10.0, speed=5.0, entry_time=0.0)
+                   route_index=0, lane=1, pos=10.0, speed=5.0)
     fake = Vehicle(vid="b", provenance="fake", route=["I0_in_E", "I0_out_N"],
-                   route_index=0, lane=1, pos=10.0, speed=5.0, entry_time=0.0)
+                   route_index=0, lane=1, pos=10.0, speed=5.0)
     ra, rb = emit_bsm(real, 1.0), emit_bsm(fake, 1.0)
     assert (ra.edge_id, ra.lane_pos, ra.speed, ra.waiting, ra.next_edge) == \
         (rb.edge_id, rb.lane_pos, rb.speed, rb.waiting, rb.next_edge)
