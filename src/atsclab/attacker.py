@@ -173,11 +173,12 @@ class SlowPoisoningAttacker:
     def on_second_phantom(self, t: float, world: World,
                           sample: FeatureSample | None,
                           row_map: Mapping[str, frozenset[Movement]]) -> None:
-        order = sorted(self.phantoms, key=lambda v: (v.route_index, -v.pos, v.vid))
-        gone = {v.vid for v in world.step_overlay(order, row_map)}
-        self.events += [AttackEvent(t, v.vid, "despawn", "phantom", "exited")
-                        for v in self.phantoms if v.vid in gone]
-        self.phantoms = [v for v in self.phantoms if v.vid not in gone]
+        # `step_overlay` walks them in its own order; they stay in injection order
+        gone = world.step_overlay(self.phantoms, row_map)
+        if gone:
+            self.events += [AttackEvent(t, v.vid, "despawn", "phantom", "exited")
+                            for v in self.phantoms if v in gone]
+            self.phantoms = [v for v in self.phantoms if v not in gone]
         ok, state = self._wants_injection(t, sample, len(self.phantoms))
         if ok and self._entry_clear(world):
             self._phantom_seq += 1

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .attacker import AttackConfig, ControllerAwarePolicy
 from .detector import FeatureMode, detect, load_detector, save_detector, train_detector
-from .errors import AtscLabError, ConfigError
+from .errors import AtscLabError, ConfigError, DataError
 from .harness import (RunArtifacts, ScenarioConfig, default_output_root,
                       load_feature_log, run_experiment, run_scenario, write_verdicts)
 
@@ -40,7 +40,13 @@ def _cmd_train(args) -> int:
     _check_out_dir(args.out)
     cfg = _config(args.config)
     samples = load_feature_log(args.features)
-    window = [s for s in samples if cfg.in_analysis(s.t)] or samples
+    window = [s for s in samples if cfg.in_analysis(s.t)]
+    if not window:
+        held = (f"t = {samples[0].t:g} to {samples[-1].t:g} s" if samples
+                else "no samples")
+        raise DataError(f"the analysis window [{cfg.analysis_start:g}, "
+                        f"{cfg.analysis_end:g}) s holds none of the samples of "
+                        f"{args.features} ({held})")
     tcfg = cfg.detector.training
     if args.epochs is not None:
         tcfg = replace(tcfg, epochs=args.epochs)

@@ -33,7 +33,7 @@ from .errors import ConfigError, DataError, bounded, check_ranges
 from .microsim import REAL, WAITING_SPEED, CarFollowingParams, TurnSplit, World
 from .msgplane import FeatureSample, emit_bsm, sample_features
 from .neuralnet import TrainingConfig
-from .roadnet import GeometryConfig, Heading, build_arterial_network
+from .roadnet import GeometryConfig, Heading, Movement, build_arterial_network
 from .svgplot import ChartStyle, Series, render_svg
 
 OUTPUT_ROOT_ENV = "ATSCLAB_OUT"
@@ -47,6 +47,9 @@ def fmt(x: float) -> str:
 
 FMT_MEMO_SIZE = 4096    # texts a `FloatTexts` holds before it is cleared
 ZERO_TEXTS = {1.0: fmt(0.0), -1.0: fmt(-0.0)}   # keyed by copysign(1.0, zero)
+# `phases.csv` texts of a phase and of the green it carries (none before the first)
+PHASE_TEXTS = {kind: kind.value for kind in atsc.PhaseKind}
+MOVEMENT_TEXTS = {None: "", **{m: m.value for m in Movement}}
 
 
 class FloatTexts(dict):
@@ -54,7 +57,8 @@ class FloatTexts(dict):
 
     The per-vehicle logs repeat their floats: a trajectory row repeats its
     BSM row's position and speed, a standing vehicle logs a speed of 0, and
-    waits are whole seconds. The memo is cleared once it holds
+    waits are whole seconds, as are the seconds in phase of `phases.csv`.
+    The memo is cleared once it holds
     `FMT_MEMO_SIZE` texts, so it stays small at any duration. Zeros and NaN
     are formatted afresh and never stored: a key cannot tell 0.0 from -0.0,
     and a NaN equals no other NaN, so it would only fill the memo.
@@ -276,6 +280,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
     bsm_log = out / "bsm.csv" if cfg.log_bsm else None
     trajectory_log = out / "trajectories.csv" if cfg.log_trajectories else None
     texts = FloatTexts()
+    by_vid = attrgetter("vid")
     with (_streamed_log(bsm_log, "t,vehicle_id,edge_id,lane_pos,speed,waiting,"
                                  "next_edge\n") as bsm,
           _streamed_log(trajectory_log, "t,vehicle_id,edge_id,lane,pos,speed\n") as traj):
@@ -285,8 +290,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
 
             if cfg.in_analysis(t):
                 for v in world.vehicles.values():
-                    if (v.provenance == REAL and v.edge_id == eb_edge
-                            and v.speed <= WAITING_SPEED):
+                    if (v.speed <= WAITING_SPEED and v.route[v.route_index] == eb_edge
+                            and v.provenance == REAL):
                         eb_real_waiting += 1.0
 
             if phantom:
@@ -294,7 +299,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
             elif attacker is not None:
                 attacker.on_second_physical(t, world, last_sample)
 
-            vehicles = sorted(world.vehicles.values(), key=attrgetter("vid"))
+            vehicles = sorted(world.vehicles.values(), key=by_vid)
             real_records = [emit_bsm(v, t) for v in vehicles]
             control_stats = msgplane.node_stream_stats(real_records, net, t)
             if phantom:
@@ -314,9 +319,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
                 at = control_stats[n]
                 aawt = atsc.movement_aawt(at.movement_counts, at.movement_awt)
                 row_map[n] = ctrl.tick(aawt, t)
-                phase_rows.append([ft, n, ctrl.kind.value,
-                                   ctrl.movement.value if ctrl.movement else "",
-                                   fmt(t - ctrl.phase_entry)])
+                phase_rows.append([ft, n, PHASE_TEXTS[ctrl.kind], MOVEMENT_TEXTS[ctrl.movement],
+                                   texts[t - ctrl.phase_entry]])
 
             # one line per row of `fmt` fields, and no field needs csv quoting;
             # zero speeds and waits, about half of them, take their text by

@@ -93,14 +93,32 @@ def _front_first(v: Vehicle) -> tuple[float, str]:
 
 
 _BY_VID, _BY_POS = attrgetter("vid"), attrgetter("pos")
+_BY_ROUTE_INDEX = attrgetter("route_index")
+_NO_ROW: frozenset[Movement] = frozenset()
 
 
 def _sort_front_first(lane: list[Vehicle]) -> None:
     """Sort `lane` in place by `_front_first`, through two stable sorts on
-    C-level keys: by vid, then by pos descending (ties keep the vid order)."""
-    if len(lane) > 1:
-        lane.sort(key=_BY_VID)
-        lane.sort(key=_BY_POS, reverse=True)
+    C-level keys: by vid, then by pos descending (ties keep the vid order).
+    Callers skip one-vehicle lanes, where two sorts cost more than one keyed sort."""
+    lane.sort(key=_BY_VID)
+    lane.sort(key=_BY_POS, reverse=True)
+
+
+def _move_up(lane: list[Vehicle], k: int) -> None:
+    """Move `lane[k]`, which has only moved forward since `lane` was in
+    `_front_first` order, to the place `insort` would give it."""
+    v = lane[k]
+    pos, vid = v.pos, v.vid
+    j = k
+    while j:
+        w = lane[j - 1]
+        if w.pos > pos or (w.pos == pos and w.vid < vid):
+            break
+        j -= 1
+    if j != k:
+        del lane[k]
+        lane.insert(j, v)
 
 
 def entry_cell_clear(lane: Sequence[Vehicle], params: CarFollowingParams) -> bool:
@@ -179,9 +197,14 @@ class World:
         for v in chain(self.vehicles.values(), overlay):
             edge = v.route[v.route_index]   # `edge_id`, without a property call
             if edges is None or edge in edges:
-                occ.setdefault((edge, v.lane), []).append(v)
-        for vs in occ.values():
-            _sort_front_first(vs)
+                lane = occ.get((edge, v.lane))
+                if lane is None:
+                    occ[edge, v.lane] = [v]
+                else:
+                    lane.append(v)
+        for lane in occ.values():
+            if len(lane) > 1:
+                _sort_front_first(lane)
         return occ
 
     def stream_at_node(self, vehicle: Vehicle) -> Movement | None:
@@ -189,6 +212,20 @@ class World:
         if nxt is None:
             return None
         return self.net.stream_of(vehicle.edge_id, nxt)
+
+    def _lane_beyond(self, v: Vehicle, node: str,
+                     row_map: Mapping[str, frozenset[Movement]]) -> tuple[str, int] | None:
+        """The (edge, lane) that lane front `v` enters past `node` if it has
+        right of way there; None if it must stop at the line."""
+        route, i, streams = v.route, v.route_index, self.net.streams
+        if i + 1 >= len(route):
+            return None
+        nxt = route[i + 1]
+        if streams[route[i], nxt] not in row_map.get(node, _NO_ROW):
+            return None
+        if i + 2 < len(route) and streams[nxt, route[i + 2]].turn == "L":
+            return nxt, POCKET_LANE
+        return nxt, THROUGH_LANE
 
     def leader_of(self, vehicle: Vehicle, ahead: Vehicle | None,
                   occ: dict[tuple[str, int], list[Vehicle]],
@@ -207,20 +244,12 @@ class World:
 
         edge = self.net.edges[vehicle.edge_id]
         dist_end = edge.length - vehicle.pos
-        if dist_end > LOOKAHEAD:
-            return None
-        node = edge.to
-        if node is None:
-            return None  # free run off the exit edge
-        stream = self.stream_at_node(vehicle)
-        if stream is None:
-            return 0.0, dist_end
-        if stream not in row_map.get(node, frozenset()):
+        if dist_end > LOOKAHEAD or edge.to is None:
+            return None  # out of reach, or a free run off the exit edge
+        beyond = self._lane_beyond(vehicle, edge.to, row_map)
+        if beyond is None:
             return 0.0, dist_end  # stationary virtual leader at the stop line
-        nxt = vehicle.next_edge_id
-        after = vehicle.route[vehicle.route_index + 2:vehicle.route_index + 3]
-        nxt_lane = self.lane_for(nxt, after[0] if after else None)
-        downstream = occ.get((nxt, nxt_lane), ())
+        downstream = occ.get(beyond)
         if downstream:
             w = downstream[-1]  # nearest to that edge's start
             gap = dist_end + w.pos - self.params.vehicle_length - self.params.min_gap
@@ -234,7 +263,7 @@ class World:
                     row_map: Mapping[str, frozenset[Movement]]) -> float:
         """Speed for the coming step before dawdle: accelerate, cap at the
         lane's speed `limit`, then at the Krauss safe speed behind the
-        leader (`leader_of`)."""
+        leader (`leader_of`). `step` and `step_overlay` write it out inline."""
         p = self.params
         v_next = min(v.speed + p.max_accel, limit)
         lead = self.leader_of(v, ahead, occ, row_map)
@@ -253,7 +282,7 @@ class World:
         while v.pos >= edge.length:
             if v.next_edge_id is None:
                 return True
-            if self.stream_at_node(v) not in row_map.get(edge.to, frozenset()):
+            if self.stream_at_node(v) not in row_map.get(edge.to, _NO_ROW):
                 v.pos = edge.length  # held at the stop line
                 return False
             v.pos -= edge.length
@@ -263,81 +292,162 @@ class World:
         return False
 
     def step(self, row_map: dict[str, frozenset[Movement]]) -> None:
-        """Advance one second under the given per-node right-of-way map."""
+        """Advance one second under the given per-node right-of-way map.
+
+        One walk over `occupancy()`, lane by lane in (edge, lane) order and
+        front first in each lane, visits every vehicle in (edge, lane, -pos,
+        vid) order, the order of its dawdle draw. Its speed is `_next_speed`'s
+        written out: a follower's leader is the vehicle before it as that one
+        stood before the step, and only a lane's front looks past its lane,
+        as in `leader_of`. The vehicle then moves, through `_move` only when
+        it reaches its edge's end, and accrues waiting (`update_waiting`) if
+        it stays.
+        """
         p = self.params
-        accel, length, min_gap = p.max_accel, p.vehicle_length, p.min_gap
-        edges = self.net.edges
-        occ = self.occupancy()
-        # (edge, lane, -pos, vid) order: the dawdle draws follow it, and
-        # each vehicle's leader is the one before it in its lane
-        order: list[Vehicle] = []
-        new_speed: list[float] = []
-        for key in sorted(occ):
-            lane = occ[key]
-            limit = edges[key[0]].speed_limit
-            ahead = lane[0]
-            new_speed.append(self._next_speed(ahead, limit, None, occ, row_map))
-            for v in lane[1:]:
-                # `_next_speed` with `ahead` as the leader: only a lane's
-                # front looks past it
-                gap = ahead.pos - length - v.pos - min_gap
-                new_speed.append(min(v.speed + accel, limit,
-                                     krauss_safe_speed(v.speed, ahead.speed, gap, p)))
-                ahead = v
-            order += lane
-        if p.dawdle > 0:
-            # one call gives the same doubles as one scalar draw per vehicle
-            scale = p.dawdle * accel
-            etas = self.rng.random(len(order)).tolist()
-            new_speed = [s - scale * eta for s, eta in zip(new_speed, etas)]
-
-        # waiting accrues for each vehicle that stays: they are the world's
-        # vehicles after the step
+        accel, decel, tau = p.max_accel, p.max_decel, p.reaction_time
+        length, min_gap = p.vehicle_length, p.min_gap
+        edges, vehicles = self.net.edges, self.vehicles
         cumulative = self.cumulative_waiting_mode
-        for v, speed in zip(order, new_speed):
-            v.speed = max(0.0, speed)
-            if self._move(v, row_map):
-                self.exited += 1
-                del self.vehicles[v.vid]
-            else:
-                update_waiting(v, cumulative)
+        occ = self.occupancy()
+        # one call gives the doubles of one scalar draw per vehicle; without
+        # dawdle nothing is drawn, and subtracting 0.0 leaves every speed as it is
+        scale = p.dawdle * accel
+        n = len(vehicles)
+        etas = self.rng.random(n).tolist() if p.dawdle > 0 else [0.0] * n
+        # each lane's rearmost vehicle as it stood before the step, for the
+        # lane fronts that follow it onto its edge
+        rears = {key: (lane[-1].pos, lane[-1].speed) for key, lane in occ.items()}
+        # only arrivals enter an entry edge, so after the moves its lanes hold
+        # the vehicles that stayed on them
+        entry_lanes: dict[tuple[str, int], list[Vehicle]] = {}
+        j = 0
+        for key in sorted(occ):
+            edge = edges[key[0]]
+            end, limit, node = edge.length, edge.speed_limit, edge.to
+            kept = None
+            if edge.frm is None:
+                kept = entry_lanes[key] = []
+            front = True
+            for v in occ[key]:
+                sp, pos = v.speed, v.pos
+                s = sp + accel
+                if limit < s:
+                    s = limit
+                gap = None
+                if not front:
+                    lead_speed, gap = ahead_speed, ahead_rear - pos - min_gap
+                elif end - pos <= LOOKAHEAD and node is not None:
+                    beyond = self._lane_beyond(v, node, row_map)
+                    if beyond is None:
+                        lead_speed, gap = 0.0, end - pos
+                    elif beyond in rears:
+                        rear_pos, lead_speed = rears[beyond]
+                        gap = end - pos + rear_pos - length - min_gap
+                if gap is not None:     # `krauss_safe_speed`
+                    safe = lead_speed + ((gap - lead_speed * tau)
+                                         / (0.5 * (sp + lead_speed) / decel + tau))
+                    if not safe > 0.0:
+                        safe = 0.0
+                    if safe < s:
+                        s = safe
+                s -= scale * etas[j]
+                j += 1
+                if not s > 0.0:
+                    s = 0.0
+                front, ahead_rear, ahead_speed = False, pos - length, sp
 
-        # only arrivals enter an entry edge, so its lanes now hold what they
-        # held at the start of the step, less the vehicles that left them
-        entry_lanes = {key: [v for v in lane if v.route_index == 0 and v.vid in self.vehicles]
-                       for key, lane in occ.items() if edges[key[0]].frm is None}
+                v.speed = s
+                if pos + s < end:
+                    v.pos = pos + s
+                elif self._move(v, row_map):
+                    self.exited += 1
+                    del vehicles[v.vid]
+                    continue
+                if s <= WAITING_SPEED:
+                    v.waiting += 1.0
+                elif not cumulative:
+                    v.waiting = 0.0
+                if kept is not None and v.route_index == 0:
+                    kept.append(v)
+
         for lane in entry_lanes.values():
-            _sort_front_first(lane)
+            if len(lane) > 1:
+                _sort_front_first(lane)
         self.spawn_arrivals(entry_lanes)
 
     def step_overlay(self, overlay: list[Vehicle],
                      row_map: Mapping[str, frozenset[Movement]]) -> list[Vehicle]:
         """Step vehicles kept outside the world (phantoms); return those that
-        left their route.
+        left their route, in the order they moved.
 
-        They move one after another in the given order under the same
-        car-following rules as real vehicles, without dawdle, so nothing is
-        drawn from `rng`. Their leaders may be real or overlay vehicles; real
-        vehicles never see them, and the world itself is left unchanged. A
-        vehicle reads only lanes of its own route, so only those are built.
+        They move one after another in (route_index, -pos, vid) order, under
+        `step`'s car-following rules but without dawdle, so nothing is drawn
+        from `rng`. Each reads its lane as it stands when it moves: its leader
+        is the vehicle before it there, real or overlay, and it then moves up
+        to its front-first place, which most keep. Real vehicles never see
+        overlay ones, and the world itself is left unchanged. A vehicle reads
+        only lanes of its own route, so only those are built.
         """
+        p = self.params
+        accel, decel, tau = p.max_accel, p.max_decel, p.reaction_time
+        length, min_gap = p.vehicle_length, p.min_gap
+        edges, cumulative = self.net.edges, self.cumulative_waiting_mode
         occ = self.occupancy(overlay, {e for v in overlay for e in v.route})
+        # three stable sorts on C-level keys give (route_index, -pos, vid) order
+        order = sorted(overlay, key=_BY_VID)
+        order.sort(key=_BY_POS, reverse=True)
+        order.sort(key=_BY_ROUTE_INDEX)
         exited = []
-        for v in overlay:
-            # the lanes change as overlay vehicles move: find the leader by index
-            lane = occ[(v.edge_id, v.lane)]
-            i = lane.index(v)
-            limit = self.net.edges[v.edge_id].speed_limit
-            v.speed = max(0.0, self._next_speed(v, limit, lane[i - 1] if i else None,
-                                                occ, row_map))
-            del lane[i]
-            if self._move(v, row_map):
+        for v in order:
+            i, sp, pos = v.route_index, v.speed, v.pos
+            edge = edges[v.route[i]]
+            end, limit = edge.length, edge.speed_limit
+            lane = occ[edge.id, v.lane]
+            k = lane.index(v)
+            s = sp + accel
+            if limit < s:
+                s = limit
+            gap = None
+            if k:
+                w = lane[k - 1]
+                lead_speed, gap = w.speed, w.pos - length - pos - min_gap
+            elif end - pos <= LOOKAHEAD and edge.to is not None:
+                beyond = self._lane_beyond(v, edge.to, row_map)
+                if beyond is None:
+                    lead_speed, gap = 0.0, end - pos
+                elif occ.get(beyond):
+                    w = occ[beyond][-1]
+                    lead_speed, gap = w.speed, end - pos + w.pos - length - min_gap
+            if gap is not None:     # `krauss_safe_speed`
+                safe = lead_speed + ((gap - lead_speed * tau)
+                                     / (0.5 * (sp + lead_speed) / decel + tau))
+                if not safe > 0.0:
+                    safe = 0.0
+                if safe < s:
+                    s = safe
+            if not s > 0.0:
+                s = 0.0
+
+            v.speed = s
+            if pos + s < end:
+                v.pos = pos + s
+                if k and not lane[k - 1].pos > v.pos:   # it may have passed its leader
+                    _move_up(lane, k)
+            elif self._move(v, row_map):
+                del lane[k]
                 exited.append(v)
                 continue
-            # re-placed even on the same edge: real vehicles ignore overlay
-            # ones, so an overlay vehicle can pass a real one within a step
-            insort(occ.setdefault((v.edge_id, v.lane), []), v, key=_front_first)
-            update_waiting(v, self.cumulative_waiting_mode)
+            elif v.route_index == i:    # held at the stop line
+                _move_up(lane, k)
+            else:
+                del lane[k]
+                lane = occ.setdefault((v.route[v.route_index], v.lane), [])
+                lane.append(v)
+                _move_up(lane, len(lane) - 1)
+            if s <= WAITING_SPEED:
+                v.waiting += 1.0
+            elif not cumulative:
+                v.waiting = 0.0
         return exited
 
     # -- demand --------------------------------------------------------------

@@ -7,7 +7,7 @@ indistinguishable only in the per-second aggregate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .atsc import compute_aawt
@@ -33,32 +33,26 @@ class BsmRecord(NamedTuple):
     next_edge: str = ""
 
 
-# what BsmRecord's generated `__new__` calls, without its Python frame
-_new_record = tuple.__new__
+# what a named tuple's generated `__new__` calls, without its Python frame
+_new_tuple = tuple.__new__
 
 
 def emit_bsm(vehicle: Vehicle, t: float) -> BsmRecord:
     # `edge_id` and `next_edge_id`, read from the route without property calls
     route, i = vehicle.route, vehicle.route_index
     nxt = route[i + 1] if i + 1 < len(route) else ""
-    return _new_record(BsmRecord, (t, vehicle.vid, route[i], vehicle.pos, vehicle.speed,
-                                   vehicle.waiting, nxt))
+    return _new_tuple(BsmRecord, (t, vehicle.vid, route[i], vehicle.pos, vehicle.speed,
+                                  vehicle.waiting, nxt))
 
 
 @dataclass
 class NodeStreamStats:
     """Per-turn-stream vehicle counts and waiting-time sums at one node in 12
     slots (`Movement.slot`), and per signal movement as 8-tuples in MOVEMENT_ORDER."""
-    counts: list[int] = field(default_factory=lambda: [0] * 12)
-    awt: list[float] = field(default_factory=lambda: [0.0] * 12)
+    counts: list[int]
+    awt: list[float]
     movement_counts: tuple[int, ...] = ()
     movement_awt: tuple[float, ...] = ()
-
-    def approach_aawt(self, i: int) -> float:
-        # approach i's slots in L, T, R order, not the through fold of
-        # _per_movement: logged values are compared bit for bit
-        s = slice(3 * i, 3 * i + 3)
-        return compute_aawt(sum(self.awt[s]), sum(self.counts[s]))
 
 
 def _per_movement(v: list) -> tuple:
@@ -74,36 +68,39 @@ def node_stream_stats(records: list[BsmRecord], net: RoadNetwork, t: float,
     """Aggregate one second's records over the approaches of every
     intersection in a single pass.
 
-    With `base`, the sums continue from a copy of that aggregate, so the
-    result is the aggregate of base's records followed by `records`, bit for
-    bit; `base` itself is left unchanged.
+    With `base`, the sums continue from that aggregate, so the result is the
+    aggregate of base's records followed by `records`, bit for bit. A node
+    that `records` reach gets a copy of its `base` entry, and the others
+    share base's; `base` itself is left unchanged.
     """
     if base is None:
-        stats = {n: NodeStreamStats() for n in net.nodes}
+        stats = {n: NodeStreamStats([0] * 12, [0.0] * 12) for n in net.nodes}
     else:
-        stats = {n: NodeStreamStats(list(s.counts), list(s.awt)) for n, s in base.items()}
+        stats = dict(base)
     turn_slot = net.turn_slot
-    for rec in records:
-        if rec.t != t:
-            raise DataError(f"record {rec.vehicle_id} at t={rec.t}, expected {t}")
-        hit = turn_slot.get((rec.edge_id, rec.next_edge))
+    for rec_t, vid, edge_id, _, _, waiting, next_edge in records:
+        if rec_t != t:
+            raise DataError(f"record {vid} at t={rec_t}, expected {t}")
+        hit = turn_slot.get((edge_id, next_edge))
         if hit is None:
-            edge = net.edges.get(rec.edge_id)
+            edge = net.edges.get(edge_id)
             if edge is None:
-                raise DataError(f"BSM {rec.vehicle_id}@{rec.t}: unknown edge {rec.edge_id!r}")
+                raise DataError(f"BSM {vid}@{rec_t}: unknown edge {edge_id!r}")
             if edge.to is None:
                 continue      # on an exit edge, past the last stop line
-            if not rec.next_edge:
-                raise DataError(f"BSM {rec.vehicle_id}@{rec.t}: no turn intent on an approach")
-            raise DataError(f"BSM {rec.vehicle_id}@{rec.t}: no connection "
-                            f"{rec.edge_id} -> {rec.next_edge}")
+            if not next_edge:
+                raise DataError(f"BSM {vid}@{rec_t}: no turn intent on an approach")
+            raise DataError(f"BSM {vid}@{rec_t}: no connection {edge_id} -> {next_edge}")
         node, slot = hit
         at = stats[node]
+        if base is not None and at is base[node]:   # the first record at this node
+            at = stats[node] = NodeStreamStats(list(at.counts), list(at.awt))
         at.counts[slot] += 1
-        at.awt[slot] += rec.waiting
-    for at in stats.values():
-        at.movement_counts = _per_movement(at.counts)
-        at.movement_awt = _per_movement(at.awt)
+        at.awt[slot] += waiting
+    for node, at in stats.items():
+        if base is None or at is not base[node]:
+            at.movement_counts = _per_movement(at.counts)
+            at.movement_awt = _per_movement(at.awt)
     return stats
 
 
@@ -113,8 +110,7 @@ def feeder_streams(net: RoadNetwork) -> tuple[tuple[str, Movement], ...]:
     return tuple(sorted(feeders, key=lambda f: (f[0], f[1].value)))
 
 
-@dataclass(frozen=True)
-class FeatureSample:
+class FeatureSample(NamedTuple):
     """One second of controller/detector-visible features at the subject node.
 
     `attack_active` is ground truth for evaluation only; it is never an input
@@ -144,15 +140,18 @@ def sample_features(stats: dict[str, NodeStreamStats], net: RoadNetwork,
     """Build the subject-centric per-second feature sample from one second's
     aggregate (`node_stream_stats`); `feeders` is `feeder_streams(net)`."""
     subject = stats[net.subject_node]
-    return FeatureSample(
-        t=t,
-        movement_counts=subject.movement_counts,
-        movement_awt=subject.movement_awt,
-        approach_aawt=tuple(subject.approach_aawt(i) for i in range(4)),
-        upstream_counts=tuple(stats[n].counts[s.slot] for n, s in feeders),
-        upstream_awt=tuple(stats[n].awt[s.slot] for n, s in feeders),
-        attack_active=attack_active,
-    )
+    n, w = subject.counts, subject.awt
+    # each approach's slots summed in L, T, R order, not the through fold of
+    # _per_movement: logged values are compared bit for bit
+    return _new_tuple(FeatureSample, (
+        t, subject.movement_counts, subject.movement_awt,
+        (compute_aawt(w[0] + w[1] + w[2], n[0] + n[1] + n[2]),
+         compute_aawt(w[3] + w[4] + w[5], n[3] + n[4] + n[5]),
+         compute_aawt(w[6] + w[7] + w[8], n[6] + n[7] + n[8]),
+         compute_aawt(w[9] + w[10] + w[11], n[9] + n[10] + n[11])),
+        tuple([stats[node].counts[s.slot] for node, s in feeders]),
+        tuple([stats[node].awt[s.slot] for node, s in feeders]),
+        attack_active))
 
 
 def feature_header(net: RoadNetwork) -> list[str]:

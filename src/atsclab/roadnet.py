@@ -50,6 +50,11 @@ class Movement(Enum):
     SBT = "SBT"
     SBR = "SBR"
 
+    # identity hashing in C: `Enum.__hash__` is a Python call, and every
+    # right-of-way test hashes a stream. No set of streams is iterated into
+    # an output, so the per-process hash order shows nowhere
+    __hash__ = object.__hash__
+
     def __init__(self, label: str) -> None:
         self.turn = label[2]
         self.slot = len(type(self)._member_names_)
@@ -125,15 +130,16 @@ class RoadNetwork:
     connections: list[Connection]
     entries: tuple[str, ...]
     subject_node: str
-    _conn_index: dict[tuple[str, str], Connection] = field(init=False, repr=False)
     _out_by_in: dict[str, list[Connection]] = field(init=False, repr=False)
-    # (in edge, out edge) -> (node, Movement.slot) for every connection
+    # (in edge, out edge) -> its turn stream, and -> (node, Movement.slot), for
+    # every connection; the lane walks and the aggregate read them directly
+    streams: dict[tuple[str, str], Movement] = field(init=False, repr=False)
     turn_slot: dict[tuple[str, str], tuple[str, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._conn_index = {(c.in_edge, c.out_edge): c for c in self.connections}
-        self.turn_slot = {key: (self.edges[c.in_edge].to, c.stream.slot)
-                          for key, c in self._conn_index.items()}
+        self.streams = {(c.in_edge, c.out_edge): c.stream for c in self.connections}
+        self.turn_slot = {key: (self.edges[key[0]].to, stream.slot)
+                          for key, stream in self.streams.items()}
         self._out_by_in = {}
         for c in self.connections:
             self._out_by_in.setdefault(c.in_edge, []).append(c)
@@ -142,7 +148,7 @@ class RoadNetwork:
 
     def stream_of(self, in_edge: str, out_edge: str) -> Movement:
         try:
-            return self._conn_index[(in_edge, out_edge)].stream
+            return self.streams[(in_edge, out_edge)]
         except KeyError:
             raise DataError(f"no connection {in_edge} -> {out_edge}") from None
 

@@ -425,8 +425,22 @@ GOLDEN = {
         "attack.csv": "09016f8fa3c7079eefd86374b52b5ed73c65887cdd4ad18b9f820e2cdbdc94e5",
         "manifest.json": "e35bef47676c4aa9d7110822522bf1536239471b458646c527a78ea9ad4a702b",
     },
+    # phantoms stepped at another seed, recorded before the overlay was
+    # stepped lane by lane
+    "phantom#7": {
+        "features.csv": "8f5d5f3669eec2d0993cce30be0bb52b0a56d6e7d334f3e1ebfe35a5e152be9c",
+        "phases.csv": "eecc3ac83fbc9be3712f7a7c02e54b4dbf7e3b07cffe0888b447e5fd646d7424",
+        "attack.csv": "90f53e663c36b252bd1799f0f43a90d099755abfc474186c65967ab314dc3a5b",
+        "manifest.json": "12c2b06ab540791539a8dda5ad6a33684e0cb50bd0cc09a0478a0407321be83c",
+    },
     # "<mode>~<vph>": the same 1210 s run at another demand than 150 vph;
     # at 400 vph lanes queue and entries defer, so the lane order matters
+    "phantom~400": {
+        "features.csv": "db1b8b594d791aa2842cf4ade9695d8104f12c4edcf3699df2d98f02b3c21c26",
+        "phases.csv": "d67b007dad902d53ccce8f7a140bf3913d81a0c5d9eec7712e258e98db426be4",
+        "attack.csv": "528eed07ac188c73e8d3fdefd36336310ab382dbfd70b309d77258acd93c2b86",
+        "manifest.json": "b2900e98b74a8078117398322ffb10843a7deb72c9ede4e3b2cde8adde251d55",
+    },
     "free~400": {
         "features.csv": "f5f6db07ac4b0ed786ba54735310a1e05d0c0ad9ea69c9b70d799035105d2854",
         "phases.csv": "d67b007dad902d53ccce8f7a140bf3913d81a0c5d9eec7712e258e98db426be4",
@@ -608,6 +622,18 @@ def test_cli_error_exit_codes(run_pair, tmp_path, capsys):
     gapped.write_text("\n".join(lines[:700] + lines[701:]) + "\n")
     assert cli_main(["train", "--features", str(gapped), "--epochs", "1",
                      "--out", str(tmp_path / "m.npz")]) == 3
+    assert not (tmp_path / "m.npz").exists()
+    # a config whose analysis window holds none of the log's samples (the log
+    # ends at t = 900 s) -> DataError naming the window and the log's span,
+    # before any checkpoint is written -> exit 3
+    late = tmp_path / "late.json"
+    late.write_text(json.dumps({"duration": 7200.0, "warmup": 5000.0, "cooldown": 600.0}))
+    capsys.readouterr()
+    assert cli_main(["train", "--features", str(a.feature_log), "--config", str(late),
+                     "--epochs", "1", "--out", str(tmp_path / "m.npz")]) == 3
+    err = capsys.readouterr().err
+    assert "[5000, 6600) s" in err and "t = 1 to 900 s" in err, err
+    assert "Traceback" not in err
     assert not (tmp_path / "m.npz").exists()
     # an --out whose directory is missing -> ConfigError -> exit 2, before
     # any training or replay
@@ -801,13 +827,20 @@ def test_benchmark_digests_equal_the_reference(monkeypatch, tmp_path, name):
     assert workloads.digests(ops, out) == reference["digests"]
 
 
-def test_hot_path_reaches_every_probe(monkeypatch, tmp_path):
+def test_hot_path_reaches_every_probe(monkeypatch, tmp_path, capsys):
     # a probe the hot path no longer calls where `spans` wraps it records no
     # call, and `--trace 1` then fails its coverage guard on that workload
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     monkeypatch.syspath_prepend(str(bench))
     spans = importlib.import_module("spans")
     loads = json.loads((bench / "workloads.json").read_text())["workloads"]
+    # the `experiment` workload's config, cut to 1210 s and one epoch
+    cfg = json.loads((bench.parent / "configs" / "experiment.json").read_text())
+    cfg.update(duration=1210.0, warmup=200.0, cooldown=200.0)
+    cfg["attack"]["start"] = 100.0
+    cfg["detector"]["training"]["epochs"] = 1
+    cfg_path = tmp_path / "experiment.json"
+    cfg_path.write_text(json.dumps(cfg))
     with spans.Tracer(full=True) as tracer:
         tracer.begin(0)
         for mode in (None, AttackMode.PHYSICAL, AttackMode.PHANTOM):
@@ -815,7 +848,12 @@ def test_hot_path_reaches_every_probe(monkeypatch, tmp_path):
             harness.run_scenario(short_cfg(duration=300.0, attack=attack, log_bsm=True,
                                            log_trajectories=True),
                                  tmp_path / (mode.value if mode else "free"))
-        trace = tracer.end()
-    calls = spans.call_counts(trace)
-    for workload in ("closed_loop", "saturated"):
-        assert spans.missing_layers(loads[workload]["loads"], calls, tracer.missing) == []
+        scenarios = spans.call_counts(tracer.end())
+        tracer.begin(1)
+        assert cli_main(["experiment", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "experiment")]) == 0
+        experiment = spans.call_counts(tracer.end())
+    for workload, calls in [("closed_loop", scenarios), ("saturated", scenarios),
+                            ("experiment", experiment)]:
+        assert spans.missing_layers(loads[workload]["loads"], calls, tracer.missing) == [], \
+            workload

@@ -380,6 +380,71 @@ def test_leaders_and_step_order_come_from_the_lane_order(net, seed):
     assert len(found) > 10_000 and passes > 0
 
 
+def walk_order(overlay):
+    return sorted(overlay, key=lambda v: (v.route_index, -v.pos, v.vid))
+
+
+def reference_overlay(world, overlay, row_map):
+    """`World.step_overlay` by brute force: each overlay vehicle, in
+    (route_index, -pos, vid) order, scans its current lane among the world's
+    vehicles and the overlay vehicles still on the road, as they stand now,
+    for its leader; then it calls `_next_speed` (whose lane front reads a
+    fresh `occupancy`) and `_move`, and accrues waiting if it stays. Returns
+    the vehicles that left their route, in walk order."""
+    on_road, left = list(overlay), []
+    for v in walk_order(overlay):
+        occ = world.occupancy(on_road)
+        lead = brute_force_leader(v, occ[(v.edge_id, v.lane)])
+        limit = world.net.edges[v.edge_id].speed_limit
+        v.speed = max(0.0, world._next_speed(v, limit, lead, occ, row_map))
+        if world._move(v, row_map):
+            on_road.remove(v)
+            left.append(v)
+        else:
+            update_waiting(v, world.cumulative_waiting_mode)
+    return left
+
+
+def overlay_bits(overlay):
+    return [(v.vid, v.route_index, v.lane, v.pos.hex(), v.speed.hex(), v.waiting.hex())
+            for v in overlay]
+
+
+# through I0 and I1, or through I0 and left at I1 (into the pocket on the link)
+OVERLAY_ROUTES = (EB_ROUTE, ["I0_in_E", "link_I0_I1_E", "I1_out_N"])
+
+
+@pytest.mark.parametrize("seed", [3, 8, 21])
+def test_step_overlay_equals_the_brute_force_reference(net, seed):
+    # two equal worlds; every second one steps its overlay with `step_overlay`
+    # (given in walk order, as the attacker gives it), the other with the
+    # reference, and the overlays, the exits and the worlds must agree bit
+    # for bit, with each world as it was before its overlay step
+    world = make_world(net, seed=seed, demand=900.0)
+    ref = make_world(net, seed=seed, demand=900.0)
+    overlay, ref_overlay, exits = [], [], 0
+    for t in range(300):
+        row = all_green(net) if (t // 30) % 2 else all_red(net)
+        world.step(row)
+        ref.step(row)
+        if t % 5 == 0:
+            route = OVERLAY_ROUTES[(t // 5) % 2]
+            for lst in (overlay, ref_overlay):
+                lst.append(Vehicle(vid=f"x{t:05d}", provenance="fake", route=list(route),
+                                   route_index=0, lane=world.lane_for(route[0], route[1]),
+                                   pos=0.0, speed=10.0))
+        before = bits(world)
+        gone = world.step_overlay(walk_order(overlay), row)
+        ref_gone = reference_overlay(ref, ref_overlay, row)
+        assert [v.vid for v in gone] == [v.vid for v in ref_gone], t
+        overlay = [v for v in overlay if v not in gone]
+        ref_overlay = [v for v in ref_overlay if v not in ref_gone]
+        assert overlay_bits(overlay) == overlay_bits(ref_overlay), t
+        assert bits(world) == before == bits(ref), t
+        exits += len(gone)
+    assert exits > 20 and overlay
+
+
 @given(st.lists(st.tuples(st.sampled_from([0.0, 2.5, 2.5000000000000004, 90.0]),
                           st.integers(0, 30)), max_size=40))
 @settings(max_examples=200, deadline=None, derandomize=True)
