@@ -72,6 +72,11 @@ class FloatTexts(dict):
             self[x] = text
         return text
 
+    def text(self, x: float) -> str:
+        """`fmt(x)`: a zero takes its text by sign from ZERO_TEXTS, without
+        a miss, and any other float from the memo."""
+        return self[x] if x else ZERO_TEXTS[copysign(1.0, x)]
+
 
 @dataclass(frozen=True)
 class DetectorSettings:
@@ -340,7 +345,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
 
     feature_log = out / "features.csv"
     _write_csv(feature_log, msgplane.feature_header(net),
-               [msgplane.feature_row(s, fmt) for s in samples])
+               [msgplane.feature_row(s, texts.text) for s in samples])
     _write_csv(out / "phases.csv", ["t", "node", "phase", "movement", "seconds_in_phase"],
                phase_rows)
     events = attacker.events if attacker is not None else []

@@ -81,12 +81,6 @@ class Vehicle:
     def edge_id(self) -> str:
         return self.route[self.route_index]
 
-    @property
-    def next_edge_id(self) -> str | None:
-        if self.route_index + 1 < len(self.route):
-            return self.route[self.route_index + 1]
-        return None
-
 
 def _front_first(v: Vehicle) -> tuple[float, str]:
     return -v.pos, v.vid
@@ -207,12 +201,6 @@ class World:
                 _sort_front_first(lane)
         return occ
 
-    def stream_at_node(self, vehicle: Vehicle) -> Movement | None:
-        nxt = vehicle.next_edge_id
-        if nxt is None:
-            return None
-        return self.net.stream_of(vehicle.edge_id, nxt)
-
     def _lane_beyond(self, v: Vehicle, node: str,
                      row_map: Mapping[str, frozenset[Movement]]) -> tuple[str, int] | None:
         """The (edge, lane) that lane front `v` enters past `node` if it has
@@ -278,17 +266,19 @@ class World:
         enters a new edge takes the lane of its next turn there.
         """
         v.pos += v.speed
-        edge = self.net.edges[v.route[v.route_index]]   # `edge_id`, without a property call
+        route, edges = v.route, self.net.edges
+        edge = edges[route[v.route_index]]
         while v.pos >= edge.length:
-            if v.next_edge_id is None:
+            i = v.route_index
+            if i + 1 == len(route):
                 return True
-            if self.stream_at_node(v) not in row_map.get(edge.to, _NO_ROW):
+            if self.net.streams[route[i], route[i + 1]] not in row_map.get(edge.to, _NO_ROW):
                 v.pos = edge.length  # held at the stop line
                 return False
             v.pos -= edge.length
-            v.route_index += 1
-            v.lane = self.lane_for(v.edge_id, v.next_edge_id)
-            edge = self.net.edges[v.edge_id]
+            v.route_index = i + 1
+            v.lane = self.lane_for(route[i + 1], route[i + 2] if i + 2 < len(route) else None)
+            edge = edges[route[i + 1]]
         return False
 
     def step(self, row_map: dict[str, frozenset[Movement]]) -> None:
@@ -388,6 +378,8 @@ class World:
         overlay ones, and the world itself is left unchanged. A vehicle reads
         only lanes of its own route, so only those are built.
         """
+        if not overlay:
+            return []
         p = self.params
         accel, decel, tau = p.max_accel, p.max_decel, p.reaction_time
         length, min_gap = p.vehicle_length, p.min_gap
@@ -398,11 +390,14 @@ class World:
         order.sort(key=_BY_POS, reverse=True)
         order.sort(key=_BY_ROUTE_INDEX)
         exited = []
+        edge_id = lane_no = None    # a run of vehicles in one lane looks it up once
         for v in order:
             i, sp, pos = v.route_index, v.speed, v.pos
-            edge = edges[v.route[i]]
-            end, limit = edge.length, edge.speed_limit
-            lane = occ[edge.id, v.lane]
+            if v.route[i] != edge_id or v.lane != lane_no:
+                edge_id, lane_no = v.route[i], v.lane
+                edge = edges[edge_id]
+                end, limit = edge.length, edge.speed_limit
+                lane = occ[edge_id, lane_no]
             k = lane.index(v)
             s = sp + accel
             if limit < s:
@@ -441,9 +436,9 @@ class World:
                 _move_up(lane, k)
             else:
                 del lane[k]
-                lane = occ.setdefault((v.route[v.route_index], v.lane), [])
-                lane.append(v)
-                _move_up(lane, len(lane) - 1)
+                entered = occ.setdefault((v.route[v.route_index], v.lane), [])
+                entered.append(v)
+                _move_up(entered, len(entered) - 1)
             if s <= WAITING_SPEED:
                 v.waiting += 1.0
             elif not cumulative:

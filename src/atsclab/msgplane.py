@@ -38,7 +38,7 @@ _new_tuple = tuple.__new__
 
 
 def emit_bsm(vehicle: Vehicle, t: float) -> BsmRecord:
-    # `edge_id` and `next_edge_id`, read from the route without property calls
+    # the vehicle's edge and the next one on its route, or "" on its last
     route, i = vehicle.route, vehicle.route_index
     nxt = route[i + 1] if i + 1 < len(route) else ""
     return _new_tuple(BsmRecord, (t, vehicle.vid, route[i], vehicle.pos, vehicle.speed,

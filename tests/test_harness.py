@@ -284,6 +284,7 @@ def test_one_line_log_rows_match_the_csv_writer(tmp_path):
     def memo_formats_like_fmt(xs):
         for x in xs:
             assert texts[x] == fmt(x)
+            assert texts.text(x) == fmt(x)      # the feature rows' formatter
             assert len(texts) <= FMT_MEMO_SIZE
 
     memo_formats_like_fmt()
@@ -294,6 +295,7 @@ def test_one_line_log_rows_match_the_csv_writer(tmp_path):
     for x in [*special, *(i / 7 for i in range(1, 3 * FMT_MEMO_SIZE)),
               *(float("nan") for _ in range(FMT_MEMO_SIZE + 1)), *special]:
         assert texts[x] == fmt(x)
+        assert texts.text(x) == fmt(x)
         assert len(texts) <= FMT_MEMO_SIZE
     for n in (1, 2, 3):
         net = build_arterial_network(GeometryConfig(intersections=n))
