@@ -29,6 +29,13 @@ def compute_aawt(awt_sum: float, count: int) -> float:
     return awt_sum / count if count > 0 else 0.0
 
 
+def _per_movement(v: list) -> tuple:
+    """Per signal movement in MOVEMENT_ORDER from 12 slots; right-turners ride
+    with their through movement (summed T + R)."""
+    return (v[0], v[1] + v[2], v[3], v[4] + v[5],
+            v[6], v[7] + v[8], v[9], v[10] + v[11])
+
+
 def movement_aawt(counts: tuple[int, ...],
                   awt: tuple[float, ...]) -> tuple[float, ...]:
     """Each movement's AAWT from 8-tuples, all in MOVEMENT_ORDER."""
@@ -59,7 +66,8 @@ def right_of_way(kind: PhaseKind, movement: Movement | None) -> frozenset[Moveme
 
 
 class SignalController:
-    """One controller per signalized node; tick exactly once per second."""
+    """One controller per signalized node; tick exactly once per second with its
+    node's 12 stream slots, folded into per-movement AAWT only to choose a green."""
 
     def __init__(self, node: str) -> None:
         self.node = node
@@ -69,7 +77,7 @@ class SignalController:
         self.next_checkpoint: float | None = None
         self._last_tick: float | None = None
 
-    def tick(self, aawt: Sequence[float], t: float) -> frozenset[Movement]:
+    def tick(self, counts: list[int], awt: list[float], t: float) -> frozenset[Movement]:
         if self._last_tick is not None and t <= self._last_tick:
             raise DataError(f"controller {self.node}: non-monotonic tick at t={t}")
         self._last_tick = t
@@ -82,13 +90,15 @@ class SignalController:
             if t - self.phase_entry >= ALL_RED_DURATION:
                 # winner re-evaluated at green onset, from the latest sample
                 self.kind = PhaseKind.GREEN
-                self.movement = select_green(aawt, None)
+                self.movement = select_green(
+                    movement_aawt(_per_movement(counts), _per_movement(awt)), None)
                 self.phase_entry = t
                 self.next_checkpoint = t + CHECKPOINT_INTERVAL
         elif self.kind is PhaseKind.GREEN:
             assert self.next_checkpoint is not None
             if t >= self.next_checkpoint:
-                winner = select_green(aawt, self.movement)
+                winner = select_green(
+                    movement_aawt(_per_movement(counts), _per_movement(awt)), self.movement)
                 if winner is self.movement:
                     self.next_checkpoint = t + CHECKPOINT_INTERVAL
                 else:

@@ -4,12 +4,15 @@ logging, experiment orchestration and plot emission.
 Config classes are frozen dataclasses that check their values when built: a
 config that constructs is one that runs, and `dataclasses.replace` checks a variant.
 
-Loop order each second: world step -> attacker callback -> feature sampling ->
-controller tick. All artifact CSVs carry a header row, fixed column order and
-17-significant-digit floats, so identical (config, seed) pairs produce
-byte-identical files. The per-vehicle logs `bsm.csv` and `trajectories.csv` are
-written as the run goes, each second's rows before the next second starts, so
-memory stays flat at any duration; the other artifacts are written at the end.
+Loop order each second: world step -> attacker callback -> BSM emission ->
+aggregation into stream slots -> feature sampling (which folds the subject's
+slots per movement) -> controller tick (which folds and computes AAWT only to
+choose a green) -> phase rows and per-vehicle log lines. All artifact CSVs
+carry a header row, fixed column order and 17-significant-digit floats, so
+identical (config, seed) pairs produce byte-identical files. The per-vehicle
+logs `bsm.csv` and `trajectories.csv` are written as the run goes, each
+second's rows before the next second starts, so memory stays flat at any
+duration; the other artifacts are written at the end.
 """
 from __future__ import annotations
 
@@ -322,8 +325,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
             ft = fmt(t)
             for n, ctrl in controllers.items():
                 at = control_stats[n]
-                aawt = atsc.movement_aawt(at.movement_counts, at.movement_awt)
-                row_map[n] = ctrl.tick(aawt, t)
+                row_map[n] = ctrl.tick(at.counts, at.awt, t)
                 phase_rows.append([ft, n, PHASE_TEXTS[ctrl.kind], MOVEMENT_TEXTS[ctrl.movement],
                                    texts[t - ctrl.phase_entry]])
 

@@ -291,7 +291,8 @@ class World:
         stood before the step, and only a lane's front looks past its lane,
         as in `leader_of`. The vehicle then moves, through `_move` only when
         it reaches its edge's end, and accrues waiting (`update_waiting`) if
-        it stays.
+        it stays. `_next_speed`, `leader_of` and `update_waiting` are not
+        called here; only the tests' reference steppers use them.
         """
         p = self.params
         accel, decel, tau = p.max_accel, p.max_decel, p.reaction_time

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .atsc import compute_aawt
+from .atsc import _per_movement, compute_aawt
 from .errors import DataError
 from .microsim import Vehicle
 from .roadnet import Heading, Movement, MOVEMENT_ORDER, RoadNetwork, upstream_feeders
@@ -47,19 +47,9 @@ def emit_bsm(vehicle: Vehicle, t: float) -> BsmRecord:
 
 @dataclass
 class NodeStreamStats:
-    """Per-turn-stream vehicle counts and waiting-time sums at one node in 12
-    slots (`Movement.slot`), and per signal movement as 8-tuples in MOVEMENT_ORDER."""
+    """One node's per-stream vehicle counts and waiting sums in 12 slots (`Movement.slot`)."""
     counts: list[int]
     awt: list[float]
-    movement_counts: tuple[int, ...] = ()
-    movement_awt: tuple[float, ...] = ()
-
-
-def _per_movement(v: list) -> tuple:
-    """Per signal movement in MOVEMENT_ORDER from 12 slots; right-turners ride
-    with their through movement (summed T + R)."""
-    return (v[0], v[1] + v[2], v[3], v[4] + v[5],
-            v[6], v[7] + v[8], v[9], v[10] + v[11])
 
 
 def node_stream_stats(records: list[BsmRecord], net: RoadNetwork, t: float,
@@ -68,15 +58,13 @@ def node_stream_stats(records: list[BsmRecord], net: RoadNetwork, t: float,
     """Aggregate one second's records over the approaches of every
     intersection in a single pass.
 
-    With `base`, the sums continue from that aggregate, so the result is the
-    aggregate of base's records followed by `records`, bit for bit. A node
-    that `records` reach gets a copy of its `base` entry, and the others
-    share base's; `base` itself is left unchanged.
+    With `base`, the sums continue from a copy of it: the result is the
+    aggregate of base's records followed by `records`, bit for bit.
     """
     if base is None:
         stats = {n: NodeStreamStats([0] * 12, [0.0] * 12) for n in net.nodes}
     else:
-        stats = dict(base)
+        stats = {n: NodeStreamStats(list(s.counts), list(s.awt)) for n, s in base.items()}
     turn_slot = net.turn_slot
     for rec_t, vid, edge_id, _, _, waiting, next_edge in records:
         if rec_t != t:
@@ -93,14 +81,8 @@ def node_stream_stats(records: list[BsmRecord], net: RoadNetwork, t: float,
             raise DataError(f"BSM {vid}@{rec_t}: no connection {edge_id} -> {next_edge}")
         node, slot = hit
         at = stats[node]
-        if base is not None and at is base[node]:   # the first record at this node
-            at = stats[node] = NodeStreamStats(list(at.counts), list(at.awt))
         at.counts[slot] += 1
         at.awt[slot] += waiting
-    for node, at in stats.items():
-        if base is None or at is not base[node]:
-            at.movement_counts = _per_movement(at.counts)
-            at.movement_awt = _per_movement(at.awt)
     return stats
 
 
@@ -144,7 +126,7 @@ def sample_features(stats: dict[str, NodeStreamStats], net: RoadNetwork,
     # each approach's slots summed in L, T, R order, not the through fold of
     # _per_movement: logged values are compared bit for bit
     return _new_tuple(FeatureSample, (
-        t, subject.movement_counts, subject.movement_awt,
+        t, _per_movement(n), _per_movement(w),
         (compute_aawt(w[0] + w[1] + w[2], n[0] + n[1] + n[2]),
          compute_aawt(w[3] + w[4] + w[5], n[3] + n[4] + n[5]),
          compute_aawt(w[6] + w[7] + w[8], n[6] + n[7] + n[8]),

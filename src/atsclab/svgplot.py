@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .errors import DataError
 
@@ -12,6 +11,11 @@ WIDTH, HEIGHT = 900, 360
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 60, 20, 40, 45
 SPAN_COLOR, SPAN_OPACITY = "#add8e6", 0.45
 TICKS = 6     # target tick count per axis
+
+
+def escape(text: str) -> str:
+    """`xml.sax.saxutils.escape`, without the urllib and http that import brings."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 @dataclass

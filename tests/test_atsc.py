@@ -3,10 +3,12 @@ import csv
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from atsclab import atsc, attacker
 from atsclab.atsc import (ALL_RED_DURATION, CHECKPOINT_INTERVAL, YELLOW_DURATION,
                           PhaseKind, SignalController, compute_aawt, right_of_way,
                           select_green)
-from atsclab.attacker import AttackConfig, AttackMode, FixedRatePolicy
+from atsclab.attacker import (AttackConfig, AttackMode, ControllerAwarePolicy,
+                              FixedRatePolicy)
 from atsclab.errors import DataError
 from atsclab.harness import ScenarioConfig, run_scenario
 from atsclab.roadnet import MOVEMENT_ORDER, Movement
@@ -18,6 +20,15 @@ def table(**kw):
     for name, v in kw.items():
         t[MOVEMENT_ORDER.index(Movement[name])] = float(v)
     return tuple(t)
+
+
+def slots(**kw):
+    """A node's 12 stream slots (counts, waiting sums) that `tick` folds into
+    `table(**kw)`: one vehicle per signal movement, waiting the named AAWT."""
+    counts, awt = [0] * 12, [0.0] * 12
+    for m, a in zip(MOVEMENT_ORDER, table(**kw)):
+        counts[m.slot], awt[m.slot] = 1, a
+    return counts, awt
 
 
 # -- compute_aawt ------------------------------------------------------------
@@ -106,11 +117,12 @@ def test_non_green_phases_grant_nothing():
 # -- SignalController --------------------------------------------------------
 
 def run_ticks(ctrl, demand_fn, t_end, t0=0.0):
-    """Tick once per second; returns [(t, kind, movement, row)]."""
+    """Tick once per second with the slots `demand_fn(t)` gives; returns
+    [(t, kind, movement, row)]."""
     trace = []
     t = t0
     while t < t_end:
-        row = ctrl.tick(demand_fn(t), t)
+        row = ctrl.tick(*demand_fn(t), t)
         trace.append((t, ctrl.kind, ctrl.movement, row))
         t += 1.0
     return trace
@@ -118,7 +130,7 @@ def run_ticks(ctrl, demand_fn, t_end, t0=0.0):
 
 def test_initial_all_red_lasts_one_second():
     ctrl = SignalController("I1")
-    trace = run_ticks(ctrl, lambda t: table(EBT=5.0), 3.0)
+    trace = run_ticks(ctrl, lambda t: slots(EBT=5.0), 3.0)
     assert trace[0][1] is PhaseKind.ALL_RED
     assert trace[1][1] is PhaseKind.GREEN
     assert trace[1][2] is Movement.EBT
@@ -128,7 +140,7 @@ def test_change_interval_timing():
     # demand flips away from EBT for good at t >= 6, exactly at the first
     # checkpoint of the green that started at t0 = 1
     def demand(t):
-        return table(EBT=5.0) if t < 6.0 else table(WBL=9.0)
+        return slots(EBT=5.0) if t < 6.0 else slots(WBL=9.0)
 
     ctrl = SignalController("I1")
     trace = run_ticks(ctrl, demand, 15.0)
@@ -146,7 +158,7 @@ def test_change_interval_timing():
 
 def test_checkpoint_skip_keeps_incumbent_green():
     ctrl = SignalController("I1")
-    trace = run_ticks(ctrl, lambda t: table(EBT=5.0), 30.0)
+    trace = run_ticks(ctrl, lambda t: slots(EBT=5.0), 30.0)
     assert all(k is PhaseKind.GREEN for t, k, _, _ in trace if t >= 1.0)
     assert all(m is Movement.EBT for t, _, m, _ in trace if t >= 1.0)
 
@@ -156,7 +168,7 @@ def test_checkpoints_every_five_seconds():
     # exactly 5 s and each change interval exactly 3 s
     def demand(t):
         phase = int(t) // 8
-        return table(EBT=5.0) if phase % 2 == 0 else table(WBT=5.0)
+        return slots(EBT=5.0) if phase % 2 == 0 else slots(WBT=5.0)
 
     ctrl = SignalController("I1")
     trace = run_ticks(ctrl, demand, 120.0)
@@ -175,7 +187,7 @@ def test_checkpoints_every_five_seconds():
 
 
 def test_green_never_shorter_than_checkpoint_interval():
-    rng_tables = [table(EBT=1.0), table(WBT=2.0), table(NBL=3.0), table(SBT=4.0)]
+    rng_tables = [slots(EBT=1.0), slots(WBT=2.0), slots(NBL=3.0), slots(SBT=4.0)]
 
     def demand(t):
         return rng_tables[int(t) % len(rng_tables)]
@@ -196,14 +208,24 @@ def test_green_never_shorter_than_checkpoint_interval():
 
 def test_non_monotonic_tick_rejected():
     ctrl = SignalController("I1")
-    ctrl.tick(table(), 0.0)
+    ctrl.tick(*slots(), 0.0)
     with pytest.raises(DataError):
-        ctrl.tick(table(), 0.0)
+        ctrl.tick(*slots(), 0.0)
+
+
+def test_tick_folds_right_turns_into_their_through_movement():
+    # EBT alone waits less than WBT, but its right-turner brings the EB
+    # through green's AAWT to (1 + 9) / 2 = 5 s
+    counts, awt = slots(EBT=1.0, WBT=4.0)
+    counts[Movement.EBR.slot], awt[Movement.EBR.slot] = 1, 9.0
+    ctrl = SignalController("I1")
+    ctrl.tick(counts, awt, 0.0)
+    assert ctrl.tick(counts, awt, 1.0) == frozenset({Movement.EBT, Movement.EBR})
 
 
 def test_replay_determinism():
     def demand(t):
-        return table(EBT=(t % 7.0), WBL=(t % 11.0), SBT=3.0)
+        return slots(EBT=(t % 7.0), WBL=(t % 11.0), SBT=3.0)
 
     traces = []
     for _ in range(2):
@@ -231,3 +253,52 @@ def test_change_interval_rows_name_the_green_they_end(tmp_path, mode):
                 assert r["movement"] == last_green.get(r["node"], ""), r
                 ended += r["node"] in last_green
     assert ended > 0 and all(last_green.values())
+
+
+def test_aawt_is_built_only_where_green_is_decided(tmp_path, monkeypatch):
+    """In a closed loop, every per-movement AAWT tuple is read: by a
+    controller's `select_green` at green onset or at a checkpoint, or by the
+    attacker's policy when it weighs an injection. Yellow, all-red and
+    mid-green seconds build none."""
+    calls = {"builds": 0, "select_green": 0, "warrants": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(atsc, "movement_aawt", counting("builds", atsc.movement_aawt))
+    monkeypatch.setattr(attacker, "movement_aawt", counting("builds", attacker.movement_aawt))
+    monkeypatch.setattr(atsc, "select_green", counting("select_green", atsc.select_green))
+    monkeypatch.setattr(ControllerAwarePolicy, "warrants",
+                        counting("warrants", ControllerAwarePolicy.warrants))
+    ticks = []     # (kind before, kind after, whether it decides, builds during it)
+    tick = SignalController.tick
+
+    def traced_tick(self, counts, awt, t):
+        kind = self.kind
+        decides = ((kind is PhaseKind.ALL_RED and t - self.phase_entry >= ALL_RED_DURATION)
+                   or (kind is PhaseKind.GREEN and t >= self.next_checkpoint))
+        before = calls["builds"]
+        row = tick(self, counts, awt, t)
+        ticks.append((kind, self.kind, decides, calls["builds"] - before))
+        return row
+
+    monkeypatch.setattr(SignalController, "tick", traced_tick)
+    attack = AttackConfig(start=0.0, mode=AttackMode.PHYSICAL,
+                          policy=ControllerAwarePolicy())
+    run_scenario(ScenarioConfig(duration=300.0, warmup=0.0, cooldown=0.0,
+                                demand_vph=400.0, attack=attack), tmp_path)
+
+    assert len(ticks) == 2 * 300      # two nodes, one tick each per second
+    assert calls["warrants"] > 0
+    assert calls["builds"] == calls["select_green"] + calls["warrants"]
+    assert all(builds == decides for _, _, decides, builds in ticks)
+    # yellow and mid-green seconds build none; all-red lasts one second, so
+    # the tick after it always starts a green, and a second that ends in
+    # all-red comes from yellow
+    assert {k for k, _, decides, _ in ticks if not decides} == {PhaseKind.YELLOW,
+                                                                PhaseKind.GREEN}
+    all_red = [builds for _, after, _, builds in ticks if after is PhaseKind.ALL_RED]
+    assert all_red and not any(all_red)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atsclab import harness
+from atsclab import harness, svgplot
 from atsclab.attacker import (AttackConfig, AttackMode, ControllerAwarePolicy,
                               FixedRatePolicy)
 from atsclab.cli import main as cli_main
@@ -554,6 +554,13 @@ def test_svg_well_formed_with_legend_and_spans(tmp_path):
     assert len(polylines) == 2
 
 
+@pytest.mark.parametrize("text", ["", "plain", "a & b", "x < y > z", "&lt; stays &amp;",
+                                  "'single' and \"double\" quotes", "&<>'\"&&"])
+def test_svg_escape_matches_saxutils(text):
+    from xml.sax.saxutils import escape as sax_escape
+    assert svgplot.escape(text) == sax_escape(text)
+
+
 def test_svg_rejects_empty_series(tmp_path):
     from atsclab.errors import DataError
     with pytest.raises(DataError):
@@ -796,6 +803,19 @@ def test_console_script_entry_point():
     assert out.returncode == 0, out.stderr
     for verb in ("simulate", "train", "detect", "experiment", "sweep"):
         assert verb in out.stdout
+
+
+def test_cli_import_leaves_network_modules_out():
+    # a fresh interpreter's `import atsclab.cli` is the setup every command
+    # pays; `xml.sax.saxutils` alone would pull these in
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, atsclab.cli; print(' '.join(m for m in ('xml.sax', "
+            "'urllib.request', 'http.client', 'ssl') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == []
 
 
 # -- benchmark probes -----------------------------------------------------------

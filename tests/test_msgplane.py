@@ -1,11 +1,13 @@
+import dataclasses
+
 import pytest
 
-from atsclab.atsc import compute_aawt, movement_aawt
+from atsclab.atsc import _per_movement, compute_aawt, movement_aawt
 from atsclab.errors import DataError
 from atsclab.microsim import Vehicle
-from atsclab.msgplane import (BsmRecord, FeatureSample, emit_bsm, feature_header,
-                              feature_row, feeder_streams, node_stream_stats,
-                              parse_feature_rows, sample_features)
+from atsclab.msgplane import (BsmRecord, FeatureSample, NodeStreamStats, emit_bsm,
+                              feature_header, feature_row, feeder_streams,
+                              node_stream_stats, parse_feature_rows, sample_features)
 from atsclab.roadnet import MOVEMENT_ORDER, Movement, build_arterial_network
 
 
@@ -100,8 +102,8 @@ def test_turn_intent_that_is_no_connection_rejected(net):
 
 
 def bits(stats):
-    return {n: (s.counts, [x.hex() for x in s.awt], s.movement_counts,
-                [x.hex() for x in s.movement_awt]) for n, s in stats.items()}
+    return {n: (s.counts, [x.hex() for x in s.awt], _per_movement(s.counts),
+                [x.hex() for x in _per_movement(s.awt)]) for n, s in stats.items()}
 
 
 def test_phantom_second_aggregates_once(net):
@@ -126,12 +128,17 @@ def test_phantom_second_aggregates_once(net):
     assert monitored["I1"].awt[Movement.EBT.slot] == 207.09999999999997
 
 
+def test_aggregate_holds_only_stream_slots():
+    # the fold per signal movement is the controller's and the sampler's
+    assert [f.name for f in dataclasses.fields(NodeStreamStats)] == ["counts", "awt"]
+
+
 def test_right_turners_ride_with_through_movement(net):
     stats = node_stream_stats(
         [rec(1.0, "v0", "I1_in_W", "I1_out_N", waiting=4.0)], net, 1.0)["I1"]
     i_wbt = MOVEMENT_ORDER.index(Movement.WBT)
-    assert stats.movement_counts[i_wbt] == 1
-    assert stats.movement_awt[i_wbt] == 4.0
+    assert _per_movement(stats.counts)[i_wbt] == 1
+    assert _per_movement(stats.awt)[i_wbt] == 4.0
 
 
 def test_count_conservation(net):
@@ -145,7 +152,7 @@ def test_count_conservation(net):
     ]
     stats = node_stream_stats(records, net, 1.0)["I1"]
     on_subject = sum(1 for r in records if net.edges[r.edge_id].to == "I1")
-    assert sum(stats.movement_counts) == on_subject == 5
+    assert sum(_per_movement(stats.counts)) == on_subject == 5
 
 
 def test_upstream_features(net):
@@ -223,7 +230,7 @@ def test_one_pass_aggregate_matches_per_node_loop(net):
             assert stats[node].counts[c.stream.slot] == count
             assert stats[node].awt[c.stream.slot] == awt
         # per movement: right turns folded into their through movement, T + R
-        mc, mw = stats[node].movement_counts, stats[node].movement_awt
+        mc, mw = _per_movement(stats[node].counts), _per_movement(stats[node].awt)
         for i, m in enumerate(MOVEMENT_ORDER):
             streams = [m] + [s for s in Movement if s.turn == "R" and s.phase is m]
             assert mc[i] == sum(stats[node].counts[s.slot] for s in streams)
