@@ -20,8 +20,13 @@ def _config(path: str | None, seed: int | None = None) -> ScenarioConfig:
 
 
 def _out_dir(args) -> Path:
-    """`--out`, or the command's own directory under the output root."""
-    return Path(args.out) if args.out else default_output_root() / args.command
+    """`--out`, or the command's own directory under the output root; its
+    nearest existing part must be a directory before any run starts."""
+    out = Path(args.out) if args.out else default_output_root() / args.command
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {out}: {existing} is not a directory")
+    return out
 
 
 def _cmd_simulate(args) -> int:
@@ -31,9 +36,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _check_out_dir(path) -> None:
-    """An output file's directory must exist before any work starts."""
+    """An output file's directory must exist, and the file must not be a
+    directory, before any work starts."""
     if not Path(path).parent.is_dir():
         raise ConfigError(f"output directory of {path} does not exist")
+    if Path(path).is_dir():
+        raise ConfigError(f"output file {path} is a directory")
 
 
 def _cmd_train(args) -> int:
@@ -123,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("train", help="train a detector from a feature log")
     s.add_argument("--features", required=True)
     s.add_argument("--mode", choices=["baseline", "upstream"], default="baseline")
-    s.add_argument("--out", required=True, help="model checkpoint path (.npz)")
+    s.add_argument("--out", required=True, help="model checkpoint path, written as given")
     s.add_argument("--config", help="scenario JSON for analysis window/training")
     s.add_argument("--epochs", type=int)
     s.set_defaults(func=_cmd_train)

@@ -262,9 +262,11 @@ def save_detector(spec: DetectorSpec, path) -> None:
         "target_min": spec.norm.target_min,
         "target_max": spec.norm.target_max,
     }
-    np.savez(path, meta=json.dumps(meta, sort_keys=True),
-             feat_min=spec.norm.feat_min, feat_max=spec.norm.feat_max,
-             **spec.model.state_arrays())
+    # an open file, since `np.savez` appends ".npz" to a path that lacks it
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=json.dumps(meta, sort_keys=True),
+                 feat_min=spec.norm.feat_min, feat_max=spec.norm.feat_max,
+                 **spec.model.state_arrays())
 
 
 def _meta_int(meta: dict, key: str, least: int | None = None) -> int:

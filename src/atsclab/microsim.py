@@ -133,17 +133,6 @@ def entry_speed(lane: Sequence[Vehicle], speed: float,
     return min(speed, krauss_safe_speed(speed, w.speed, gap, params))
 
 
-def update_waiting(vehicle: Vehicle, cumulative_mode: bool = False) -> None:
-    """Accrue 1 s of waiting at speeds <= 0.1 m/s (inclusive); reset on movement.
-
-    With `cumulative_mode` the per-vehicle timer never resets.
-    """
-    if vehicle.speed <= WAITING_SPEED:
-        vehicle.waiting += 1.0
-    elif not cumulative_mode:
-        vehicle.waiting = 0.0
-
-
 class World:
     """Mutable simulation state; `step` advances one second. Demand comes
     checked by `ScenarioConfig`; a `turn_split` of None is `TurnSplit()`."""
@@ -203,8 +192,8 @@ class World:
 
     def _lane_beyond(self, v: Vehicle, node: str,
                      row_map: Mapping[str, frozenset[Movement]]) -> tuple[str, int] | None:
-        """The (edge, lane) that lane front `v` enters past `node` if it has
-        right of way there; None if it must stop at the line."""
+        """The (edge, lane) that `v` enters past `node`, its edge's end, if it
+        has right of way there; None if it must stop at the line."""
         route, i, streams = v.route, v.route_index, self.net.streams
         if i + 1 >= len(route):
             return None
@@ -215,70 +204,28 @@ class World:
             return nxt, POCKET_LANE
         return nxt, THROUGH_LANE
 
-    def leader_of(self, vehicle: Vehicle, ahead: Vehicle | None,
-                  occ: dict[tuple[str, int], list[Vehicle]],
-                  row_map: Mapping[str, frozenset[Movement]]) -> tuple[float, float] | None:
-        """(leader speed, net gap) for the nearest constraint ahead, or None.
-
-        `ahead` is the vehicle just before `vehicle` in its lane, or None when
-        it leads the lane; only a lane's front vehicle looks past it, at the
-        stop line and at the next edge's lane in `occ`. Net gap is
-        bumper-to-bumper minus the follower's minimum gap for physical
-        leaders; for a signal stop it is the distance to the stop line.
-        """
-        if ahead is not None:
-            gap = ahead.pos - self.params.vehicle_length - vehicle.pos - self.params.min_gap
-            return ahead.speed, gap
-
-        edge = self.net.edges[vehicle.edge_id]
-        dist_end = edge.length - vehicle.pos
-        if dist_end > LOOKAHEAD or edge.to is None:
-            return None  # out of reach, or a free run off the exit edge
-        beyond = self._lane_beyond(vehicle, edge.to, row_map)
-        if beyond is None:
-            return 0.0, dist_end  # stationary virtual leader at the stop line
-        downstream = occ.get(beyond)
-        if downstream:
-            w = downstream[-1]  # nearest to that edge's start
-            gap = dist_end + w.pos - self.params.vehicle_length - self.params.min_gap
-            return w.speed, gap
-        return None
-
     # -- per-step dynamics ---------------------------------------------------
-
-    def _next_speed(self, v: Vehicle, limit: float, ahead: Vehicle | None,
-                    occ: dict[tuple[str, int], list[Vehicle]],
-                    row_map: Mapping[str, frozenset[Movement]]) -> float:
-        """Speed for the coming step before dawdle: accelerate, cap at the
-        lane's speed `limit`, then at the Krauss safe speed behind the
-        leader (`leader_of`). `step` and `step_overlay` write it out inline."""
-        p = self.params
-        v_next = min(v.speed + p.max_accel, limit)
-        lead = self.leader_of(v, ahead, occ, row_map)
-        if lead is not None:
-            v_next = min(v_next, krauss_safe_speed(v.speed, lead[0], lead[1], p))
-        return v_next
 
     def _move(self, v: Vehicle, row_map: Mapping[str, frozenset[Movement]]) -> bool:
         """Advance `v` at its speed across edges; True once it leaves its route.
 
-        A vehicle without right of way is held at the stop line; one that
-        enters a new edge takes the lane of its next turn there.
+        At each edge's end `_lane_beyond` either holds `v` at the stop line or
+        names the lane of its next turn on the edge it enters.
         """
         v.pos += v.speed
-        route, edges = v.route, self.net.edges
-        edge = edges[route[v.route_index]]
+        edges = self.net.edges
+        edge = edges[v.route[v.route_index]]
         while v.pos >= edge.length:
-            i = v.route_index
-            if i + 1 == len(route):
+            if v.route_index + 1 == len(v.route):
                 return True
-            if self.net.streams[route[i], route[i + 1]] not in row_map.get(edge.to, _NO_ROW):
+            beyond = self._lane_beyond(v, edge.to, row_map)
+            if beyond is None:
                 v.pos = edge.length  # held at the stop line
                 return False
             v.pos -= edge.length
-            v.route_index = i + 1
-            v.lane = self.lane_for(route[i + 1], route[i + 2] if i + 2 < len(route) else None)
-            edge = edges[route[i + 1]]
+            v.route_index += 1
+            edge_id, v.lane = beyond
+            edge = edges[edge_id]
         return False
 
     def step(self, row_map: dict[str, frozenset[Movement]]) -> None:
@@ -286,13 +233,15 @@ class World:
 
         One walk over `occupancy()`, lane by lane in (edge, lane) order and
         front first in each lane, visits every vehicle in (edge, lane, -pos,
-        vid) order, the order of its dawdle draw. Its speed is `_next_speed`'s
-        written out: a follower's leader is the vehicle before it as that one
-        stood before the step, and only a lane's front looks past its lane,
-        as in `leader_of`. The vehicle then moves, through `_move` only when
-        it reaches its edge's end, and accrues waiting (`update_waiting`) if
-        it stays. `_next_speed`, `leader_of` and `update_waiting` are not
-        called here; only the tests' reference steppers use them.
+        vid) order, the order of its dawdle draw. Its speed accelerates, is
+        capped at the speed limit and then at `krauss_safe_speed` (written
+        inline) behind its leader: for a follower the vehicle before it as
+        that one stood before the step; for a lane's front the stop line or,
+        past it, the rearmost vehicle of the lane `_lane_beyond` names. The
+        vehicle then moves, through `_move` only when it reaches its edge's
+        end, and accrues waiting if it stays. `tests/krauss_oracle.py` writes
+        these rules out apart from `World`; the tests hold this walk to it
+        bit for bit.
         """
         p = self.params
         accel, decel, tau = p.max_accel, p.max_decel, p.reaction_time
@@ -377,7 +326,8 @@ class World:
         is the vehicle before it there, real or overlay, and it then moves up
         to its front-first place, which most keep. Real vehicles never see
         overlay ones, and the world itself is left unchanged. A vehicle reads
-        only lanes of its own route, so only those are built.
+        only lanes of its own route, so only those are built. The tests hold
+        it bit for bit to the rules of `tests/krauss_oracle.py`.
         """
         if not overlay:
             return []

@@ -136,15 +136,20 @@ def sample_features(stats: dict[str, NodeStreamStats], net: RoadNetwork,
         attack_active))
 
 
+# the 21 columns before the feeder blocks, in `feature_row` order
+_FIXED_COLUMNS = ("t", *(f"n_{m.value}" for m in MOVEMENT_ORDER),
+                  *(f"awt_{m.value}" for m in MOVEMENT_ORDER),
+                  *(f"aawt_{a}" for a in APPROACH_LABELS))
+
+
+def _header(feeders: list[str]) -> list[str]:
+    """The feature log's columns for feeders named `{node}_{stream}`."""
+    return [*_FIXED_COLUMNS, *(f"up_n_{f}" for f in feeders),
+            *(f"up_awt_{f}" for f in feeders), "attack"]
+
+
 def feature_header(net: RoadNetwork) -> list[str]:
-    cols = ["t"]
-    cols += [f"n_{m.value}" for m in MOVEMENT_ORDER]
-    cols += [f"awt_{m.value}" for m in MOVEMENT_ORDER]
-    cols += [f"aawt_{a}" for a in APPROACH_LABELS]
-    cols += [f"up_n_{node}_{stream.value}" for node, stream in feeder_streams(net)]
-    cols += [f"up_awt_{node}_{stream.value}" for node, stream in feeder_streams(net)]
-    cols.append("attack")
-    return cols
+    return _header([f"{node}_{stream.value}" for node, stream in feeder_streams(net)])
 
 
 def feature_row(sample: FeatureSample, float_fmt) -> list[str]:
@@ -159,11 +164,17 @@ def feature_row(sample: FeatureSample, float_fmt) -> list[str]:
 
 
 def parse_feature_rows(header: list[str], rows: list[list[str]]) -> list[FeatureSample]:
-    """Inverse of feature_row for the fixed column layout."""
-    n_feeders = sum(1 for c in header if c.startswith("up_n_"))
-    expected = 1 + 8 + 8 + 4 + 2 * n_feeders + 1
+    """Inverse of feature_row for the column layout `feature_header` writes."""
+    feeders = [c[len("up_n_"):] for c in header if c.startswith("up_n_")]
+    n_feeders = len(feeders)
+    expected = len(_FIXED_COLUMNS) + 2 * n_feeders + 1
     if len(header) != expected:
         raise DataError(f"feature log has {len(header)} columns, expected {expected}")
+    layout = _header(feeders)
+    if header != layout:
+        col = next(i for i, (got, want) in enumerate(zip(header, layout)) if got != want)
+        raise DataError(f"feature log column {col + 1} is {header[col]!r}, "
+                        f"expected {layout[col]!r}")
     out = []
     for row_no, r in enumerate(rows, start=1):
         if len(r) != expected:

@@ -582,10 +582,14 @@ def test_cli_simulate_train_detect(tmp_path, capsys):
     features = sim_dir / "features.csv"
     assert features.exists()
 
-    model = tmp_path / "det.npz"
+    # no suffix: `np.savez` would append ".npz", and `detect --model` must
+    # find the checkpoint where `--out` put it
+    model = tmp_path / "det"
     assert cli_main(["train", "--features", str(features), "--config", str(cfg_path),
                      "--mode", "baseline", "--epochs", "2",
                      "--out", str(model)]) == 0
+    assert capsys.readouterr().out.endswith(f"model -> {model}\n")
+    assert model.is_file() and not model.with_suffix(".npz").exists()
 
     verdicts = tmp_path / "verdicts.csv"
     assert cli_main(["detect", "--model", str(model), "--features", str(features),
@@ -654,6 +658,22 @@ def test_cli_error_exit_codes(run_pair, tmp_path, capsys):
                      "--out", str(missing / "v.csv")]) == 2
     assert not missing.exists()
     assert "Traceback" not in capsys.readouterr().err
+    # an --out that is, or lies under, a regular file -> ConfigError naming
+    # it -> exit 2, before any run; a checkpoint --out that is a directory too
+    cfg_path = tmp_path / "attack.json"
+    cfg_path.write_text(json.dumps(short_cfg(attack=AttackConfig()).to_dict()))
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    for out in (taken, taken / "sub"):
+        for command in ("simulate", "experiment", "sweep"):
+            assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"{taken} is not a directory" in err and "Traceback" not in err
+    assert taken.read_text() == "keep"
+    assert cli_main(["train", "--features", str(a.feature_log), "--epochs", "1",
+                     "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path} is a directory" in err and "Traceback" not in err
     # a negative seed -> ConfigError -> exit 2, before any output
     assert cli_main(["simulate", "--seed", "-5", "--out", str(tmp_path / "neg")]) == 2
     assert not (tmp_path / "neg").exists()
@@ -674,6 +694,22 @@ def test_cli_error_exit_codes(run_pair, tmp_path, capsys):
         assert cli_main(["detect", "--model", str(model), "--features", str(bad),
                          "--out", str(tmp_path / "v.csv")]) == 3, (col, value)
         assert "feature row 500" in capsys.readouterr().err
+    # a log whose n_* and awt_* blocks are swapped, header and data alike,
+    # has the right column count and parses (its waits are whole numbers),
+    # but not the layout `feature_header` writes -> DataError -> exit 3
+    n, awt = slice(1, 9), slice(9, 17)
+
+    def swap(line):
+        fields = line.split(",")
+        fields[n], fields[awt] = fields[awt], fields[n]
+        return ",".join(fields)
+
+    swapped = tmp_path / "swapped.csv"
+    swapped.write_text("\n".join(swap(line) for line in lines) + "\n")
+    assert columns[n][0] == "n_EBL" and swap(header).split(",")[1] == "awt_EBL"
+    assert cli_main(["detect", "--model", str(model), "--features", str(swapped),
+                     "--out", str(tmp_path / "v.csv")]) == 3
+    assert "column 2 is 'awt_EBL', expected 'n_EBL'" in capsys.readouterr().err
     with np.load(model, allow_pickle=False) as data:
         arrays = {k: data[k] for k in data.files}
     meta = json.loads(str(arrays["meta"]))

@@ -1,9 +1,14 @@
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import krauss_oracle as oracle
 from atsclab.microsim import (CarFollowingParams, TurnSplit, Vehicle, World, _front_first,
-                              _sort_front_first, krauss_safe_speed, update_waiting)
+                              _sort_front_first, krauss_safe_speed)
 from atsclab.roadnet import Movement, build_arterial_network
 
 
@@ -53,7 +58,7 @@ def test_safe_speed_never_negative(v, vl, gap):
     assert krauss_safe_speed(v, vl, gap, p) >= 0.0
 
 
-# -- update_waiting ----------------------------------------------------------
+# -- the oracle's waiting rule, which the bit-for-bit tests tie to the walks --
 
 def vehicle(speed, waiting=0.0):
     return Vehicle(vid="v1", provenance="real", route=["I0_in_E"], route_index=0,
@@ -63,25 +68,25 @@ def vehicle(speed, waiting=0.0):
 def test_waiting_accrues_below_threshold():
     v = vehicle(0.05)
     for _ in range(3):
-        update_waiting(v)
+        oracle.update_waiting(v)
     assert v.waiting == 3.0
 
 
 def test_waiting_threshold_is_inclusive():
     v = vehicle(0.1)
-    update_waiting(v)
+    oracle.update_waiting(v)
     assert v.waiting == 1.0
 
 
 def test_waiting_resets_on_movement_but_cumulative_persists():
     v = vehicle(0.2, waiting=5.0)
-    update_waiting(v)
+    oracle.update_waiting(v)
     assert v.waiting == 0.0
 
 
 def test_cumulative_mode_never_resets():
     v = vehicle(0.2, waiting=5.0)
-    update_waiting(v, cumulative_mode=True)
+    oracle.update_waiting(v, cumulative_mode=True)
     assert v.waiting == 5.0
 
 
@@ -303,13 +308,6 @@ def test_route_turns_equal_generator_choice(net, split):
 
 # -- lane order ------------------------------------------------------------------
 
-def brute_force_leader(v, lane):
-    """Nearest vehicle ahead of `v` among `lane`, by scanning all of it."""
-    ahead = [w for w in lane
-             if w.pos > v.pos or (w.pos == v.pos and w.vid < v.vid)]
-    return max(ahead, key=lambda w: (-w.pos, w.vid), default=None)
-
-
 def passing_pairs(world, overlay):
     """(phantom, real) -> phantom ahead, for pairs sharing an edge and lane."""
     return {(x.vid, r.vid): x.pos > r.pos for x in overlay
@@ -318,34 +316,33 @@ def passing_pairs(world, overlay):
 
 
 def reference_step(world, row_map, found):
-    """`World.step` as one `_next_speed` call per vehicle, each with its
-    leader found by brute force, in (edge, lane, -pos, vid) order; then one
-    scalar dawdle draw per vehicle in that order, the moves, waiting for
-    every vehicle left, and arrivals into the entry lanes `occupancy` builds.
-    `found` collects the leaders."""
-    p = world.params
-    occ = world.occupancy()
+    """`World.step` rebuilt from the oracle: in (edge, lane, -pos, vid) order,
+    each vehicle's speed behind its leader, found by scanning its lane; then
+    one scalar dawdle draw per vehicle in that order, the crossings, waiting
+    for every vehicle left, and arrivals into the entry lanes `occupancy`
+    builds. `found` collects the leaders."""
+    p, net = world.params, world.net
+    lanes = oracle.lanes_of(world.vehicles.values())
     order = sorted(world.vehicles.values(),
                    key=lambda v: (v.edge_id, v.lane, -v.pos, v.vid))
     speeds = []
     for v in order:
-        lead = brute_force_leader(v, occ[(v.edge_id, v.lane)])
+        lead = oracle.leader(v, lanes[v.edge_id, v.lane])
         if lead is not None:
             found.append(lead)
-        limit = world.net.edges[v.edge_id].speed_limit
-        speeds.append(world._next_speed(v, limit, lead, occ, row_map))
+        speeds.append(oracle.next_speed(v, lead, lanes, net, p, row_map))
     if p.dawdle > 0:
         scale = p.dawdle * p.max_accel
         speeds = [s - scale * world.rng.random() for s in speeds]
     for v, s in zip(order, speeds):
         v.speed = max(0.0, s)
-        if world._move(v, row_map):
+        if oracle.cross(v, net, row_map):
             world.exited += 1
             del world.vehicles[v.vid]
     for v in world.vehicles.values():
-        update_waiting(v, world.cumulative_waiting_mode)
+        oracle.update_waiting(v, world.cumulative_waiting_mode)
     world.spawn_arrivals({k: vs for k, vs in world.occupancy().items()
-                          if world.net.edges[k[0]].frm is None})
+                          if net.edges[k[0]].frm is None})
 
 
 def bits(world):
@@ -385,23 +382,22 @@ def walk_order(overlay):
 
 
 def reference_overlay(world, overlay, row_map):
-    """`World.step_overlay` by brute force: each overlay vehicle, in
-    (route_index, -pos, vid) order, scans its current lane among the world's
-    vehicles and the overlay vehicles still on the road, as they stand now,
-    for its leader; then it calls `_next_speed` (whose lane front reads a
-    fresh `occupancy`) and `_move`, and accrues waiting if it stays. Returns
-    the vehicles that left their route, in walk order."""
+    """`World.step_overlay` rebuilt from the oracle: each overlay vehicle, in
+    (route_index, -pos, vid) order, regroups the world's vehicles and the
+    overlay vehicles still on the road, as they stand now, into lanes, takes
+    its speed behind its leader there, crosses and accrues waiting if it
+    stays. Returns the vehicles that left their route, in walk order."""
     on_road, left = list(overlay), []
     for v in walk_order(overlay):
-        occ = world.occupancy(on_road)
-        lead = brute_force_leader(v, occ[(v.edge_id, v.lane)])
-        limit = world.net.edges[v.edge_id].speed_limit
-        v.speed = max(0.0, world._next_speed(v, limit, lead, occ, row_map))
-        if world._move(v, row_map):
+        lanes = oracle.lanes_of([*world.vehicles.values(), *on_road])
+        lead = oracle.leader(v, lanes[v.edge_id, v.lane])
+        v.speed = max(0.0, oracle.next_speed(v, lead, lanes, world.net, world.params,
+                                             row_map))
+        if oracle.cross(v, world.net, row_map):
             on_road.remove(v)
             left.append(v)
         else:
-            update_waiting(v, world.cumulative_waiting_mode)
+            oracle.update_waiting(v, world.cumulative_waiting_mode)
     return left
 
 
@@ -443,6 +439,25 @@ def test_step_overlay_equals_the_brute_force_reference(net, seed):
         assert bits(world) == before == bits(ref), t
         exits += len(gone)
     assert exits > 20 and overlay
+
+
+WALK_CODE = {"_lane_beyond", "_move", "step", "step_overlay"}
+
+
+def names_in(tree):
+    """Every name, attribute and string constant in `tree`."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            | {n.value for n in ast.walk(tree)
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)})
+
+
+def test_the_oracle_stands_apart_from_the_walks_it_checks():
+    # a reference that called the walks' helpers could not see a fault in them
+    with open(oracle.__file__) as fh:
+        assert not names_in(ast.parse(fh.read())) & WALK_CODE
+    for ref in (reference_step, reference_overlay):
+        assert not names_in(ast.parse(textwrap.dedent(inspect.getsource(ref)))) & WALK_CODE
 
 
 @given(st.lists(st.tuples(st.sampled_from([0.0, 2.5, 2.5000000000000004, 90.0]),
