@@ -20,13 +20,9 @@ def _config(path: str | None, seed: int | None = None) -> ScenarioConfig:
 
 
 def _out_dir(args) -> Path:
-    """`--out`, or the command's own directory under the output root; its
-    nearest existing part must be a directory before any run starts."""
-    out = Path(args.out) if args.out else default_output_root() / args.command
-    existing = next(p for p in (out, *out.parents) if p.exists())
-    if not existing.is_dir():
-        raise ConfigError(f"output directory {out}: {existing} is not a directory")
-    return out
+    """`--out`, or the command's own directory under the output root; the runs
+    check it before they create anything."""
+    return Path(args.out) if args.out else default_output_root() / args.command
 
 
 def _cmd_simulate(args) -> int:

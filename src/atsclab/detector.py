@@ -20,7 +20,6 @@ from .msgplane import FeatureSample
 from .neuralnet import LstmRegressor, NormalizationSpec, TrainingConfig, train
 
 TRAIN_FRACTION = 0.7
-REPLAY_CHUNK = 256    # windows per replay forward; bounds the hidden states held
 
 
 class FeatureMode(Enum):
@@ -114,11 +113,13 @@ class DetectorSpec:
     lookback: int
 
 
-def compute_threshold(model: LstmRegressor, norm: NormalizationSpec,
-                      X_val: np.ndarray, y_val_raw: np.ndarray) -> DetectionThreshold:
-    if len(X_val) == 0:
+def compute_threshold(norm: NormalizationSpec, val_pred: np.ndarray,
+                      y_val_raw: np.ndarray) -> DetectionThreshold:
+    """The threshold from the trained model's normalized predictions of the
+    validation windows, as `train` keeps them from its last epoch."""
+    if len(val_pred) == 0:
         raise DataError("cannot fix a threshold from an empty validation set")
-    pred = norm.inverse_target(model.forward(X_val))
+    pred = norm.inverse_target(val_pred)
     raw = float(np.max(np.abs(pred - y_val_raw)))
     return DetectionThreshold.from_raw(raw)
 
@@ -129,7 +130,7 @@ def train_detector(samples: list[FeatureSample], mode: FeatureMode,
     ds = build_dataset(samples, mode, cfg.lookback)
     model = LstmRegressor(mode.dimension, hidden1, hidden2, seed=cfg.seed)
     curves = train(model, ds.X_train, ds.y_train, cfg, ds.X_val, ds.y_val)
-    threshold = compute_threshold(model, ds.norm, ds.X_val, ds.y_val_raw)
+    threshold = compute_threshold(ds.norm, curves.val_pred, ds.y_val_raw)
     spec = DetectorSpec(mode=mode, model=model, norm=ds.norm,
                         threshold=threshold, lookback=cfg.lookback)
     return spec, ds, curves
@@ -150,8 +151,9 @@ def detect(spec: DetectorSpec, samples: list[FeatureSample]) -> list[DetectionVe
     window and flag iff |observed - predicted| strictly exceeds the threshold.
     Samples lie on the 1 s grid; any other step between two is a stream gap.
 
-    Windows are scored REPLAY_CHUNK at a time; every verdict is bit-identical
-    to a forward pass over its window alone.
+    The valid windows are stacked once, each as a 1-row matrix, for one
+    `forward` call, which scores them FORWARD_CHUNK at a time; every verdict
+    is bit-identical to a forward pass over its window alone.
     """
     if not samples:
         return []
@@ -169,15 +171,11 @@ def detect(spec: DetectorSpec, samples: list[FeatureSample]) -> list[DetectionVe
         elif gap:
             slots.append((i, False))
 
-    ends = [i for i, valid in slots if valid]
-    pred = np.empty(len(ends))
-    for lo in range(0, len(ends), REPLAY_CHUNK):
-        chunk = ends[lo:lo + REPLAY_CHUNK]
-        # (N, 1, L, F) keeps each window a 1-row matrix: matmul runs one gemv per
-        # window, as for a lone window; an (N, L, F) gemm batch moves the last bits
-        X = np.stack([feats_n[i - L:i] for i in chunk])[:, None]
-        pred[lo:lo + len(chunk)] = spec.model.forward(X)[:, 0]
-    preds = iter(spec.norm.inverse_target(pred).tolist())
+    ends = np.array([i for i, valid in slots if valid], dtype=int)
+    # (N, 1, L, F) keeps each window a 1-row matrix: matmul runs one gemv per
+    # window, as for a lone window; an (N, L, F) gemm batch moves the last bits
+    X = feats_n[ends[:, None] + np.arange(-L, 0)][:, None]
+    preds = iter(spec.norm.inverse_target(spec.model.forward(X)[:, 0]).tolist())
 
     verdicts: list[DetectionVerdict] = []
     for i, valid in slots:
@@ -291,6 +289,22 @@ def _feature_bounds(data, key: str, dim: int) -> np.ndarray:
     return arr
 
 
+def _check_fitted(norm: NormalizationSpec, threshold: DetectionThreshold) -> None:
+    """The relations training leaves among a checkpoint's values; one that
+    breaks them would replay to verdicts that are silently wrong."""
+    if threshold.raw < 0:
+        raise DataError(f"checkpoint threshold_raw {threshold.raw!r} is below 0")
+    if threshold.effective != math.ceil(threshold.raw):
+        raise DataError(f"checkpoint threshold_effective {threshold.effective} is not "
+                        f"the ceiling of threshold_raw {threshold.raw!r}")
+    if norm.target_min > norm.target_max:
+        raise DataError(f"checkpoint target_min {norm.target_min!r} is above "
+                        f"target_max {norm.target_max!r}")
+    above = np.flatnonzero(norm.feat_min > norm.feat_max)
+    if len(above):
+        raise DataError(f"checkpoint feat_min is above feat_max at feature {above[0]}")
+
+
 def load_detector(path) -> DetectorSpec:
     try:
         # np.load leaks a file it opened itself when the zip is unreadable
@@ -298,7 +312,11 @@ def load_detector(path) -> DetectorSpec:
             meta = json.loads(str(data["meta"]))
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise DataError(f"unsupported checkpoint version {meta.get('version')}")
+            mode = FeatureMode(meta["mode"])
             dim = _meta_int(meta, "input_dim", 1)
+            if dim != mode.dimension:
+                raise DataError(f"checkpoint input_dim {dim} is not the {mode.dimension} "
+                                f"features of mode {mode.value}")
             model = LstmRegressor.from_state(dim, _meta_int(meta, "hidden1", 1),
                                              _meta_int(meta, "hidden2", 1),
                                              {k: data[k] for k in data.files
@@ -307,10 +325,10 @@ def load_detector(path) -> DetectorSpec:
                                      feat_max=_feature_bounds(data, "feat_max", dim),
                                      target_min=_meta_number(meta, "target_min"),
                                      target_max=_meta_number(meta, "target_max"))
-            return DetectorSpec(mode=FeatureMode(meta["mode"]), model=model, norm=norm,
-                                threshold=DetectionThreshold(
-                                    raw=_meta_number(meta, "threshold_raw"),
-                                    effective=_meta_int(meta, "threshold_effective")),
-                                lookback=_meta_int(meta, "lookback", 1))
+            threshold = DetectionThreshold(raw=_meta_number(meta, "threshold_raw"),
+                                           effective=_meta_int(meta, "threshold_effective"))
+            _check_fitted(norm, threshold)
+            return DetectorSpec(mode=mode, model=model, norm=norm,
+                                threshold=threshold, lookback=_meta_int(meta, "lookback", 1))
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot read detector checkpoint {path}: {exc}") from exc

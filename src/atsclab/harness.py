@@ -12,7 +12,10 @@ carry a header row, fixed column order and 17-significant-digit floats, so
 identical (config, seed) pairs produce byte-identical files. The per-vehicle
 logs `bsm.csv` and `trajectories.csv` are written as the run goes, each
 second's rows before the next second starts, so memory stays flat at any
-duration; the other artifacts are written at the end.
+duration; the other artifacts are written at the end, `features.csv` and the
+verdict CSVs with each row formatted as it is written, not held as a list.
+An output directory whose nearest existing part is not a directory is a
+ConfigError before a run creates anything.
 """
 from __future__ import annotations
 
@@ -252,6 +255,16 @@ def _streamed_log(path: Path | None, header: str):
         part.unlink(missing_ok=True)    # a run that raised leaves no partial log
 
 
+def _output_dir(out_dir) -> Path:
+    """`out_dir` as a path a run can create: its nearest existing part must be
+    a directory. Checked before a run creates anything."""
+    out = Path(out_dir)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {out}: {existing} is not a directory")
+    return out
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -261,6 +274,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
     """Execute the full closed loop and write every artifact under `out_dir`."""
+    out = _output_dir(out_dir)
     net = build_arterial_network(cfg.geometry)
     world = World(net, cfg.car_following, cfg.demand_vph, cfg.turn_split,
                   seed=cfg.seed, cumulative_waiting_mode=cfg.cumulative_waiting)
@@ -271,7 +285,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
                                       start_offset=cfg.analysis_start)
                 if cfg.attack is not None else None)
     attack_start_abs = attacker.start_abs if attacker is not None else None
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     eb_edge = net.approach_edge(net.subject_node, Heading.EAST)
@@ -347,7 +360,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
 
     feature_log = out / "features.csv"
     _write_csv(feature_log, msgplane.feature_header(net),
-               [msgplane.feature_row(s, texts.text) for s in samples])
+               (msgplane.feature_row(s, texts.text) for s in samples))
     _write_csv(out / "phases.csv", ["t", "node", "phase", "movement", "seconds_in_phase"],
                phase_rows)
     events = attacker.events if attacker is not None else []
@@ -373,9 +386,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
 def write_verdicts(path, spec: DetectorSpec, verdicts) -> None:
     """The verdict CSV: one row per valid verdict, in replay order."""
     _write_csv(path, ["t", "observed", "predicted", "abs_error", "threshold", "flagged"],
-               [[fmt(v.t), fmt(v.observed), fmt(v.predicted), fmt(v.abs_error),
+               ([fmt(v.t), fmt(v.observed), fmt(v.predicted), fmt(v.abs_error),
                  str(spec.threshold.effective), "1" if v.flagged else "0"]
-                for v in verdicts if v.valid])
+                for v in verdicts if v.valid))
 
 
 def load_feature_log(path) -> list[FeatureSample]:
@@ -403,7 +416,7 @@ def run_experiment(cfg: ScenarioConfig, out_dir) -> Path:
     if train_boundary(cfg.analysis_seconds, cfg.detector.training.lookback) is None:
         raise ConfigError(f"an analysis window of {cfg.analysis_seconds} s is too short to "
                           f"train and validate with lookback {cfg.detector.training.lookback}")
-    out = Path(out_dir)
+    out = _output_dir(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     free = run_scenario(replace(cfg, attack=None), out / "attack_free")

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, bounded, check_ranges
 
 PARAM_NAMES = ("W1", "U1", "b1", "W2", "U2", "b2", "Wd", "bd")
+FORWARD_CHUNK = 256   # windows per pass of `forward`; bounds the hidden states held
 
 
 @dataclass(frozen=True)
@@ -127,10 +128,19 @@ class LstmRegressor:
         return hs
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        """X: (..., L, F) normalized windows -> (...,) normalized predictions."""
+        """X: (..., L, F) normalized windows -> (...,) normalized predictions.
+
+        The leading axis is scored FORWARD_CHUNK windows at a time, so memory
+        stays flat at any N; a window's bits do not depend on the chunk."""
         X = np.asarray(X, dtype=float)
         if X.ndim < 3 or X.shape[-1] != self.input_dim:
             raise DataError(f"expected (..., L, {self.input_dim}) input, got {X.shape}")
+        out = np.empty(X.shape[:-2])
+        for lo in range(0, len(X), FORWARD_CHUNK):
+            out[lo:lo + FORWARD_CHUNK] = self._forward_chunk(X[lo:lo + FORWARD_CHUNK])
+        return out
+
+    def _forward_chunk(self, X: np.ndarray) -> np.ndarray:
         h1 = self._run_layer("1", X, None)
         h2 = self._run_layer("2", h1, None)
         return (h2[..., -1, :] @ self.params["Wd"] + self.params["bd"])[..., 0]
@@ -245,6 +255,8 @@ def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 class TrainingResult:
     train_mae: list[float] = field(default_factory=list)   # normalized scale
     val_mae: list[float] = field(default_factory=list)
+    # normalized validation predictions of the last epoch, made with the final weights
+    val_pred: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def train(model: LstmRegressor, X_train: np.ndarray, y_train: np.ndarray,
@@ -270,6 +282,6 @@ def train(model: LstmRegressor, X_train: np.ndarray, y_train: np.ndarray,
             losses.append(loss)
         result.train_mae.append(float(np.mean(losses)))
         if X_val is not None and len(X_val):
-            val_pred = model.forward(X_val)
-            result.val_mae.append(float(np.mean(np.abs(val_pred - y_val))))
+            result.val_pred = model.forward(X_val)
+            result.val_mae.append(float(np.mean(np.abs(result.val_pred - y_val))))
     return result

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atsclab.detector import (REPLAY_CHUNK, DetectionThreshold, DetectionVerdict,
-                              DetectorSpec, FeatureMode, _is_gap, build_dataset,
+from atsclab.detector import (DetectionThreshold, DetectionVerdict, DetectorSpec, FeatureMode, _is_gap, build_dataset,
                               compute_threshold, detect, detection_report,
                               feature_vector, injection_surges, load_detector,
                               save_detector, train_detector)
 from atsclab.errors import DataError
 from atsclab.msgplane import FeatureSample
-from atsclab.neuralnet import LstmRegressor, NormalizationSpec, TrainingConfig
+from atsclab.neuralnet import (FORWARD_CHUNK, LstmRegressor, NormalizationSpec,
+                               TrainingConfig)
 
 
 def sample(t, eb_count=0, eb_aawt=0.0, upstream=(0, 0, 0),
@@ -117,7 +117,7 @@ def test_compute_threshold_empty_validation_rejected():
     samples = synthetic_log(60)
     spec, ds, _ = trained(samples, epochs=1)
     with pytest.raises(DataError):
-        compute_threshold(spec.model, spec.norm, ds.X_val[:0], ds.y_val_raw[:0])
+        compute_threshold(spec.norm, np.empty(0), ds.y_val_raw[:0])
 
 
 # -- training pipeline --------------------------------------------------------
@@ -141,6 +141,15 @@ def test_detector_learns_the_pattern(fitted):
     # raw validation error stays within a few vehicles on this easy series
     assert spec.threshold.raw <= 4.0
     assert spec.threshold.effective == math.ceil(spec.threshold.raw)
+
+
+def test_threshold_takes_the_last_validation_forward(fitted):
+    # the last epoch's validation forward ran with the final weights, so the
+    # threshold needs no second forward and keeps its bits
+    _, spec, ds, curves = fitted
+    pred = spec.model.forward(ds.X_val)
+    assert np.array_equal(curves.val_pred, pred)
+    assert spec.threshold == compute_threshold(spec.norm, pred, ds.y_val_raw)
 
 
 def test_zero_false_positives_on_validation_replay(fitted):
@@ -245,7 +254,7 @@ def per_second_verdicts(spec, samples):
 def test_detect_matches_per_second_replay_bit_for_bit(mode):
     # production layer sizes, so a batch that changed the matmul kernel
     # would show in the last bits
-    log = synthetic_log(REPLAY_CHUNK + 100, seed=3)
+    log = synthetic_log(FORWARD_CHUNK + 100, seed=3)
     feats = np.stack([feature_vector(s, mode) for s in log])
     counts = np.array([float(s.eb_count) for s in log])
     spec = DetectorSpec(mode=mode, model=LstmRegressor(mode.dimension, 128, 8, seed=5),
@@ -255,7 +264,7 @@ def test_detect_matches_per_second_replay_bit_for_bit(mode):
     got = detect(spec, gappy)
     want = per_second_verdicts(spec, gappy)
     n_valid = sum(v.valid for v in got)
-    assert n_valid > REPLAY_CHUNK and n_valid % REPLAY_CHUNK      # chunk + remainder
+    assert n_valid > FORWARD_CHUNK and n_valid % FORWARD_CHUNK    # chunk + remainder
     assert [v.valid for v in got] == [v.valid for v in want]
     assert sum(not v.valid for v in got) == 1
     assert [v.t for v in got] == [v.t for v in want]
@@ -266,6 +275,7 @@ def test_detect_matches_per_second_replay_bit_for_bit(mode):
         b = np.array([getattr(v, field) for v in want])
         assert np.array_equal(a, b, equal_nan=True), field    # exact, not approx
     assert detect(spec, log[:spec.lookback - 1]) == []
+    assert detect(spec, log[:spec.lookback]) == []      # no full window yet
 
 
 # -- surge clustering and reporting ------------------------------------------
@@ -359,14 +369,19 @@ def test_load_rejects_truncated_or_incomplete_checkpoint(tmp_path, fitted):
             ("lookback", 0), ("lookback", -3), ("lookback", 2.5), ("lookback", True),
             ("hidden1", "x"), ("hidden1", 0), ("hidden2", True), ("input_dim", 2.5),
             ("target_min", "a"), ("target_max", float("nan")),
-            ("threshold_effective", "3"), ("threshold_raw", float("inf"))]):
+            ("threshold_effective", "3"), ("threshold_raw", float("inf")),
+            # values of the right type that training cannot leave
+            ("threshold_raw", -3.0), ("threshold_raw", meta["threshold_effective"] + 0.5),
+            ("threshold_effective", meta["threshold_effective"] + 1),
+            ("target_min", meta["target_max"] + 1.0), ("mode", "upstream")]):
         path = tmp_path / f"meta_{i}.npz"
         np.savez(path, **{**arrays, "meta": json.dumps({**meta, key: value})})
         bad_fields.append(path)
     for i, (key, value) in enumerate([
             ("feat_min", np.zeros(3)), ("feat_max", np.array(["a", "b"])),
             ("feat_max", np.array([1, 2])), ("feat_min", np.array([0.0, np.inf])),
-            ("Wd", np.full_like(arrays["Wd"], np.nan))]):
+            ("Wd", np.full_like(arrays["Wd"], np.nan)),
+            ("feat_min", arrays["feat_max"] + np.array([0.0, 1.0]))]):
         path = tmp_path / f"array_{i}.npz"
         np.savez(path, **{**arrays, key: value})
         bad_fields.append(path)

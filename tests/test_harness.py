@@ -22,7 +22,8 @@ from atsclab.attacker import (AttackConfig, AttackMode, ControllerAwarePolicy,
 from atsclab.cli import main as cli_main
 from atsclab.errors import ConfigError, DataError
 from atsclab.harness import (FMT_MEMO_SIZE, ZERO_TEXTS, DetectorSettings, FloatTexts,
-                             ScenarioConfig, fmt, load_feature_log, run_scenario)
+                             ScenarioConfig, fmt, load_feature_log, run_experiment,
+                             run_scenario)
 from atsclab.microsim import CarFollowingParams, TurnSplit
 from atsclab.msgplane import sample_features
 from atsclab.neuralnet import TrainingConfig
@@ -533,6 +534,19 @@ def test_failed_run_leaves_no_partial_log(tmp_path, monkeypatch):
         gc.collect()    # an unclosed handle warns when it is finalized
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
     assert list(out.iterdir()) == []
+
+
+def test_library_runs_reject_an_out_dir_under_a_file(tmp_path):
+    # the check lives in the library, so Python callers get the CLI's
+    # ConfigError too, before anything is created
+    taken = tmp_path / "afile"
+    taken.write_text("keep")
+    for run, out in ((run_scenario, taken), (run_experiment, taken / "sub")):
+        with pytest.raises(ConfigError) as info:
+            run(short_cfg(attack=AttackConfig()), out)
+        assert f"output directory {out}: {taken} is not a directory" in str(info.value)
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert taken.read_text() == "keep"
 
 
 # -- SVG ----------------------------------------------------------------------

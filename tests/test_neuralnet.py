@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from atsclab import neuralnet
 from atsclab.errors import ConfigError, DataError, NumericError
 from atsclab.neuralnet import (PARAM_NAMES, AdamState, LstmRegressor,
                                NormalizationSpec, TrainingConfig, adam_update,
@@ -99,6 +102,34 @@ def test_stacked_forward_is_bit_identical_to_single_windows(input_dim):
     assert stacked.shape == (37, 1)
     single = np.array([m.forward(X[k:k + 1])[0] for k in range(len(X))])
     assert np.array_equal(stacked[:, 0], single)
+
+
+@pytest.mark.parametrize("input_dim", [2, 8])
+@pytest.mark.parametrize("n", [720, 2390])
+def test_chunked_forward_is_bit_identical_to_one_batch(monkeypatch, n, input_dim):
+    # 720 validation windows and 2390 replay windows: chunks of FORWARD_CHUNK
+    # and a remainder give the gemm rows of one (n, L, F) batch
+    m = LstmRegressor(input_dim, 128, 8, seed=7)
+    X = np.random.default_rng(2).uniform(size=(n, 10, input_dim))
+    chunked = m.forward(X)
+    monkeypatch.setattr(neuralnet, "FORWARD_CHUNK", n)
+    assert np.array_equal(chunked, m.forward(X))
+
+
+def test_forward_memory_does_not_grow_with_windows():
+    # the hidden states of one chunk at most, not of every window
+    m = LstmRegressor(8, 128, 8, seed=7)
+    rng = np.random.default_rng(3)
+    peaks = []
+    for n in (256, 2048):
+        X = rng.uniform(size=(n, 10, 8))
+        tracemalloc.start()
+        try:
+            m.forward(X)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 # -- gradient oracle ----------------------------------------------------------
