@@ -95,16 +95,21 @@ def _cmd_sweep(args) -> int:
                           f"{cfg.analysis_end:g}) s holds no sampled second")
     # every config is built, and so checked, before the first run
     free_cfg = replace(cfg, attack=None)
-    rate_cfgs = [(rate, replace(cfg, attack=replace(
+    rate_cfgs = [(rate, f"rate_{rate:g}", replace(cfg, attack=replace(
                      attack, policy=replace(attack.policy, max_rate_vph=rate))))
                  for rate in args.rates]
+    # a run directory is named by its rate's `:g` text, so two rates may share one
+    for _, name, _ in rate_cfgs:
+        rates = [repr(r) for r, n, _ in rate_cfgs if n == name]
+        if len(rates) > 1:
+            raise ConfigError(f"rates {', '.join(rates)} would all write {name}/")
     out = _out_dir(args)
     free = run_scenario(free_cfg, out / "attack_free")
     free_mean = _eb_mean(free)
     print(f"attack-free: EB mean count {free_mean:.3f}, "
           f"EB waiting {free.eb_real_waiting:.0f} s")
-    for rate, rate_cfg in rate_cfgs:
-        arts = run_scenario(rate_cfg, out / f"rate_{rate:g}")
+    for rate, name, rate_cfg in rate_cfgs:
+        arts = run_scenario(rate_cfg, out / name)
         mean = _eb_mean(arts)
         inflation = mean / free_mean if free_mean > 0 else float("inf")
         print(f"rate {rate:6.1f} vph: {len(arts.inject_times):4d} injections, "

@@ -6,14 +6,14 @@ config that constructs is one that runs, and `dataclasses.replace` checks a vari
 
 Loop order each second: world step -> attacker callback -> BSM emission ->
 aggregation into stream slots -> feature sampling (which folds the subject's
-slots per movement) -> controller tick (which folds and computes AAWT only to
-choose a green) -> phase rows and per-vehicle log lines. All artifact CSVs
-carry a header row, fixed column order and 17-significant-digit floats, so
-identical (config, seed) pairs produce byte-identical files. The per-vehicle
-logs `bsm.csv` and `trajectories.csv` are written as the run goes, each
+slots per movement) and its feature row -> controller ticks (which fold and
+compute AAWT only to choose a green) and their phase rows -> per-vehicle log
+lines. All artifact CSVs carry a header row, fixed column order and
+17-significant-digit floats, so identical (config, seed) pairs produce
+byte-identical files. Every per-second CSV is written as the run goes, each
 second's rows before the next second starts, so memory stays flat at any
-duration; the other artifacts are written at the end, `features.csv` and the
-verdict CSVs with each row formatted as it is written, not held as a list.
+duration; `attack.csv` is written at the end, and the verdict CSVs format
+each row as it is written, not held as a list.
 An output directory whose nearest existing part is not a directory is a
 ConfigError before a run creates anything.
 """
@@ -241,7 +241,7 @@ class RunArtifacts:
 
 @contextmanager
 def _streamed_log(path: Path | None, header: str):
-    """The file of a per-vehicle log written as the run goes; None without `path`."""
+    """The file of a per-second CSV written as the run goes; None without `path`."""
     if path is None:
         yield None
         return
@@ -294,15 +294,18 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
     # logged/monitored stream
     phantom = cfg.attack is not None and cfg.attack.mode is AttackMode.PHANTOM
 
-    samples: list[FeatureSample] = []
-    phase_rows: list[list[str]] = []
+    analysis: list[FeatureSample] = []
     eb_real_waiting = 0.0
     last_sample: FeatureSample | None = None
     bsm_log = out / "bsm.csv" if cfg.log_bsm else None
     trajectory_log = out / "trajectories.csv" if cfg.log_trajectories else None
     texts = FloatTexts()
     by_vid = attrgetter("vid")
-    with (_streamed_log(bsm_log, "t,vehicle_id,edge_id,lane_pos,speed,waiting,"
+    feature_log = out / "features.csv"
+    with (_streamed_log(feature_log, ",".join(msgplane.feature_header(net)) + "\n") as feats,
+          _streamed_log(out / "phases.csv",
+                        "t,node,phase,movement,seconds_in_phase\n") as phases,
+          _streamed_log(bsm_log, "t,vehicle_id,edge_id,lane_pos,speed,waiting,"
                                  "next_edge\n") as bsm,
           _streamed_log(trajectory_log, "t,vehicle_id,edge_id,lane,pos,speed\n") as traj):
         for k in range(1, int(cfg.duration) + 1):
@@ -332,15 +335,17 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
                 records, stats = real_records, control_stats
             attack_active = attack_start_abs is not None and t >= attack_start_abs
             sample = sample_features(stats, net, feeders, t, attack_active=attack_active)
-            samples.append(sample)
+            if cfg.in_analysis(t):
+                analysis.append(sample)
             last_sample = sample
+            feats.write(",".join(msgplane.feature_row(sample, texts.text)) + "\n")
 
             ft = fmt(t)
             for n, ctrl in controllers.items():
                 at = control_stats[n]
                 row_map[n] = ctrl.tick(at.counts, at.awt, t)
-                phase_rows.append([ft, n, PHASE_TEXTS[ctrl.kind], MOVEMENT_TEXTS[ctrl.movement],
-                                   texts[t - ctrl.phase_entry]])
+                phases.write(f"{ft},{n},{PHASE_TEXTS[ctrl.kind]},"
+                             f"{MOVEMENT_TEXTS[ctrl.movement]},{texts[t - ctrl.phase_entry]}\n")
 
             # one line per row of `fmt` fields, and no field needs csv quoting;
             # zero speeds and waits, about half of them, take their text by
@@ -358,11 +363,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
                     for v, (_, vid, edge, pos, speed, _, _) in zip(vehicles, real_records)
                     if v.provenance == REAL]))
 
-    feature_log = out / "features.csv"
-    _write_csv(feature_log, msgplane.feature_header(net),
-               (msgplane.feature_row(s, texts.text) for s in samples))
-    _write_csv(out / "phases.csv", ["t", "node", "phase", "movement", "seconds_in_phase"],
-               phase_rows)
     events = attacker.events if attacker is not None else []
     _write_csv(out / "attack.csv", ["t", "fake_id", "action", "mode", "policy_state"],
                [[fmt(e.t), e.fake_id, e.action, e.mode, e.policy_state]
@@ -375,7 +375,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunArtifacts:
                   fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
-    analysis = [s for s in samples if cfg.in_analysis(s.t)]
     inject_times = [e.t for e in events if e.action == "inject"]
     return RunArtifacts(feature_log=feature_log, analysis_samples=analysis,
                         inject_times=inject_times,

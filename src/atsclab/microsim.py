@@ -99,22 +99,6 @@ def _sort_front_first(lane: list[Vehicle]) -> None:
     lane.sort(key=_BY_POS, reverse=True)
 
 
-def _move_up(lane: list[Vehicle], k: int) -> None:
-    """Move `lane[k]`, which has only moved forward since `lane` was in
-    `_front_first` order, to the place `insort` would give it."""
-    v = lane[k]
-    pos, vid = v.pos, v.vid
-    j = k
-    while j:
-        w = lane[j - 1]
-        if w.pos > pos or (w.pos == pos and w.vid < vid):
-            break
-        j -= 1
-    if j != k:
-        del lane[k]
-        lane.insert(j, v)
-
-
 def entry_cell_clear(lane: Sequence[Vehicle], params: CarFollowingParams) -> bool:
     """True iff no vehicle in `lane` has its rear within one cell (vehicle
     length plus minimum gap) of the edge start."""
@@ -323,11 +307,12 @@ class World:
         They move one after another in (route_index, -pos, vid) order, under
         `step`'s car-following rules but without dawdle, so nothing is drawn
         from `rng`. Each reads its lane as it stands when it moves: its leader
-        is the vehicle before it there, real or overlay, and it then moves up
-        to its front-first place, which most keep. Real vehicles never see
-        overlay ones, and the world itself is left unchanged. A vehicle reads
-        only lanes of its own route, so only those are built. The tests hold
-        it bit for bit to the rules of `tests/krauss_oracle.py`.
+        is the vehicle before it there, real or overlay. `insort` re-places one
+        that enters a new lane, passes its leader or is held level with it at
+        the stop line. Real vehicles never see overlay ones, and the world
+        itself is left unchanged. A vehicle reads only lanes of its own route,
+        so only those are built. The tests hold it bit for bit to the rules of
+        `tests/krauss_oracle.py`.
         """
         if not overlay:
             return []
@@ -377,19 +362,15 @@ class World:
             v.speed = s
             if pos + s < end:
                 v.pos = pos + s
-                if k and not lane[k - 1].pos > v.pos:   # it may have passed its leader
-                    _move_up(lane, k)
             elif self._move(v, row_map):
                 del lane[k]
                 exited.append(v)
                 continue
-            elif v.route_index == i:    # held at the stop line
-                _move_up(lane, k)
-            else:
+            # a new lane, or not behind its leader: passed it, or level at the line
+            if v.route_index != i or (k and not lane[k - 1].pos > v.pos):
                 del lane[k]
-                entered = occ.setdefault((v.route[v.route_index], v.lane), [])
-                entered.append(v)
-                _move_up(entered, len(entered) - 1)
+                insort(occ.setdefault((v.route[v.route_index], v.lane), []), v,
+                       key=_front_first)
             if s <= WAITING_SPEED:
                 v.waiting += 1.0
             elif not cumulative:

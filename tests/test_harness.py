@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atsclab import harness, svgplot
+from atsclab import atsc, harness, svgplot
 from atsclab.attacker import (AttackConfig, AttackMode, ControllerAwarePolicy,
                               FixedRatePolicy)
 from atsclab.cli import main as cli_main
@@ -25,7 +26,7 @@ from atsclab.harness import (FMT_MEMO_SIZE, ZERO_TEXTS, DetectorSettings, FloatT
                              ScenarioConfig, fmt, load_feature_log, run_experiment,
                              run_scenario)
 from atsclab.microsim import CarFollowingParams, TurnSplit
-from atsclab.msgplane import sample_features
+from atsclab.msgplane import feature_header, feature_row, sample_features
 from atsclab.neuralnet import TrainingConfig
 from atsclab.roadnet import GeometryConfig, build_arterial_network
 from atsclab.svgplot import ChartStyle, Series, render_svg
@@ -266,11 +267,10 @@ def test_fmt_is_bit_stable():
 _CSV_SPECIAL = set(',"\r\n')
 
 
-def test_one_line_log_rows_match_the_csv_writer(tmp_path):
-    # the per-vehicle logs format each row in one f-string, with no csv
-    # quoting: that equals the csv writer's row of `fmt` fields only if the
-    # memo's texts are `fmt`'s, whatever came before, and no text field
-    # needs quoting
+def test_one_line_log_rows_match_the_csv_writer(tmp_path, monkeypatch):
+    # every per-second CSV joins its rows by hand, with no csv quoting: that
+    # equals the csv writer's row of `fmt` fields only if the memo's texts
+    # are `fmt`'s, whatever came before, and no text field needs quoting
     texts = FloatTexts()
     special = [0.0, -0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
                -5e-324, 2.2250738585072009e-308, 1e16, 1e16 + 2, 1e17, -1e17,
@@ -301,13 +301,26 @@ def test_one_line_log_rows_match_the_csv_writer(tmp_path):
     for n in (1, 2, 3):
         net = build_arterial_network(GeometryConfig(intersections=n))
         assert not [e for e in net.edges if _CSV_SPECIAL & set(e)]
+    # a longer first all-red gives phase rows with no movement, before the
+    # first green
+    monkeypatch.setattr(atsc, "ALL_RED_DURATION", 2.0)
     ids = set()
     for mode in (AttackMode.PHYSICAL, AttackMode.PHANTOM):
         attack = AttackConfig(start=0.0, mode=mode, policy=FixedRatePolicy(720.0))
-        run_scenario(short_cfg(duration=400.0, log_bsm=True, attack=attack),
-                     tmp_path / mode.value)
-        with open(tmp_path / mode.value / "bsm.csv", newline="") as fh:
+        run = tmp_path / mode.value
+        run_scenario(short_cfg(duration=400.0, log_bsm=True, attack=attack), run)
+        with open(run / "bsm.csv", newline="") as fh:
             ids |= {row[1] for row in list(csv.reader(fh))[1:]}
+        # the feature rows as `feature_row` gives them, and the phase rows
+        # as a csv reader reads them, through the csv writer
+        harness._write_csv(tmp_path / "features.csv", feature_header(build_arterial_network()),
+                           (feature_row(s, fmt) for s in load_feature_log(run / "features.csv")))
+        assert (tmp_path / "features.csv").read_bytes() == (run / "features.csv").read_bytes()
+        with open(run / "phases.csv", newline="") as fh:
+            phases = list(csv.reader(fh))
+        assert phases[1:3] == [["1", "I0", "all_red", "", "1"], ["1", "I1", "all_red", "", "1"]]
+        harness._write_csv(tmp_path / "phases.csv", phases[0], phases[1:])
+        assert (tmp_path / "phases.csv").read_bytes() == (run / "phases.csv").read_bytes()
     assert {i[0] for i in ids} == {"r", "f", "x"}
     assert not [i for i in ids if _CSV_SPECIAL & set(i)]
 
@@ -526,14 +539,36 @@ def test_failed_run_leaves_no_partial_log(tmp_path, monkeypatch):
         return sample_features(stats, net, feeders, t, attack_active=attack_active)
 
     monkeypatch.setattr(harness, "sample_features", fail_at_50)
-    out = tmp_path / "out"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ResourceWarning)
-        with pytest.raises(DataError, match="t = 50 s"):
-            run_scenario(short_cfg(log_bsm=True, log_trajectories=True), out)
-        gc.collect()    # an unclosed handle warns when it is finalized
-    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
-    assert list(out.iterdir()) == []
+    # every per-second CSV had 49 seconds of rows in its `.part` file
+    for logs in (False, True):
+        out = tmp_path / f"out_{logs}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(DataError, match="t = 50 s"):
+                run_scenario(short_cfg(log_bsm=logs, log_trajectories=logs), out)
+            gc.collect()    # an unclosed handle warns when it is finalized
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert not (out / "features.csv").exists() and not (out / "phases.csv").exists()
+        assert list(out.glob("*.part")) == []
+        assert list(out.iterdir()) == []
+
+
+def test_memory_stays_flat_with_duration(tmp_path):
+    # every per-second CSV streams, so a run holds its analysis window (600 s
+    # at each duration here) and the float memo, which fills to its bound of
+    # FMT_MEMO_SIZE texts (about 125 B each) within the first hour
+    def traced_peak(duration):
+        cfg = ScenarioConfig(duration=duration, warmup=300.0, cooldown=duration - 900.0)
+        tracemalloc.start()
+        try:
+            run_scenario(cfg, tmp_path / f"run_{duration:g}")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(1200.0)     # a first run also allocates what later runs reuse
+    short, long = traced_peak(2400.0), traced_peak(9600.0)
+    assert long <= short + FMT_MEMO_SIZE * 128, (short, long)
 
 
 def test_library_runs_reject_an_out_dir_under_a_file(tmp_path):
@@ -841,6 +876,18 @@ def test_sweep_rejects_a_non_finite_rate(tmp_path, capsys, rate):
     out = tmp_path / "sweep"
     assert cli_main(["sweep", "--rates", "120", rate, "--out", str(out)]) == 2
     assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_rates_that_share_a_run_directory(tmp_path, capsys):
+    # each rate writes `rate_{rate:g}/`; two rates with one name would
+    # overwrite each other's artifacts and still exit 0
+    out = tmp_path / "sweep"
+    assert cli_main(["sweep", "--rates", "60", "60.0000001", "120", "60",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "rates 60.0, 60.0000001, 60.0 would all write rate_60/" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

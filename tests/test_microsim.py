@@ -410,15 +410,16 @@ def overlay_bits(overlay):
 OVERLAY_ROUTES = (EB_ROUTE, ["I0_in_E", "link_I0_I1_E", "I1_out_N"])
 
 
-@pytest.mark.parametrize("seed", [3, 8, 21])
-def test_step_overlay_equals_the_brute_force_reference(net, seed):
-    # two equal worlds; every second one steps its overlay with `step_overlay`
-    # (given in walk order, as the attacker gives it), the other with the
-    # reference, and the overlays, the exits and the worlds must agree bit
-    # for bit, with each world as it was before its overlay step
-    world = make_world(net, seed=seed, demand=900.0)
-    ref = make_world(net, seed=seed, demand=900.0)
-    overlay, ref_overlay, exits = [], [], 0
+def overlay_matches_reference(net, seed, sigma):
+    """Two equal worlds at dawdle `sigma`; every second one steps its overlay
+    with `step_overlay` (given in walk order, as the attacker gives it), the
+    other with the reference, and the overlays, the exits and the worlds
+    must agree bit for bit, with each world as it was before its overlay
+    step. Returns how often a phantom ended a second on a closed stop line
+    level with a real vehicle, which its next step re-places."""
+    world = make_world(net, seed=seed, demand=900.0, sigma=sigma)
+    ref = make_world(net, seed=seed, demand=900.0, sigma=sigma)
+    overlay, ref_overlay, exits, level = [], [], 0, 0
     for t in range(300):
         row = all_green(net) if (t // 30) % 2 else all_red(net)
         world.step(row)
@@ -438,7 +439,21 @@ def test_step_overlay_equals_the_brute_force_reference(net, seed):
         assert overlay_bits(overlay) == overlay_bits(ref_overlay), t
         assert bits(world) == before == bits(ref), t
         exits += len(gone)
+        on_line = {(v.edge_id, v.lane) for v in world.vehicles.values()
+                   if v.pos == net.edges[v.edge_id].length}
+        level += sum(v.pos == net.edges[v.edge_id].length and (v.edge_id, v.lane) in on_line
+                     for v in overlay)
     assert exits > 20 and overlay
+    return level
+
+
+@pytest.mark.parametrize("seed", [3, 8, 21])
+def test_step_overlay_equals_the_brute_force_reference(net, seed):
+    # with dawdle, and without it: then a real vehicle at rest stops exactly
+    # on a closed line, level with a phantom held there, so the phantom is
+    # re-placed at the line as well as after passing its leader or crossing
+    overlay_matches_reference(net, seed, sigma=0.5)
+    assert overlay_matches_reference(net, seed, sigma=0.0) > 0
 
 
 WALK_CODE = {"_lane_beyond", "_move", "step", "step_overlay"}
