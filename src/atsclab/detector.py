@@ -20,6 +20,9 @@ from .msgplane import FeatureSample
 from .neuralnet import LstmRegressor, NormalizationSpec, TrainingConfig, train
 
 TRAIN_FRACTION = 0.7
+SURGE_MAX_GAP = 30.0    # s between injections of one surge, at most
+SURGE_MIN_SPAN = 60.0   # s from a surge's first injection to its last, at least
+SURGE_SLACK = 30.0      # s after a surge's last injection in which a flag still counts
 
 
 class FeatureMode(Enum):
@@ -31,14 +34,22 @@ class FeatureMode(Enum):
         return 2 if self is FeatureMode.BASELINE else 8
 
 
-def feature_vector(sample: FeatureSample, mode: FeatureMode) -> np.ndarray:
-    base = [float(sample.eb_count), sample.eb_aawt]
+def feature_matrix(samples: list[FeatureSample], mode: FeatureMode) -> np.ndarray:
+    """The (N, mode.dimension) features of `samples`, one row per second;
+    training and replay both take their `windows` from it."""
     if mode is FeatureMode.BASELINE:
-        return np.array(base)
-    if len(sample.upstream_counts) != 3:
+        rows = [(s.eb_count, s.eb_aawt) for s in samples]
+    elif samples and len(samples[0].upstream_counts) != 3:   # one header per log
         raise DataError("upstream mode needs 3 feeder streams in the feature log")
-    return np.array(base + [float(c) for c in sample.upstream_counts]
-                    + list(sample.upstream_awt))
+    else:
+        rows = [(s.eb_count, s.eb_aawt, *s.upstream_counts, *s.upstream_awt)
+                for s in samples]
+    return np.array(rows, dtype=float).reshape(len(samples), mode.dimension)
+
+
+def windows(feats: np.ndarray, ends: np.ndarray, lookback: int) -> np.ndarray:
+    """(len(ends), lookback, F): the `lookback` rows before each end row."""
+    return feats[ends[:, None] + np.arange(-lookback, 0)]
 
 
 @dataclass
@@ -65,9 +76,9 @@ def train_boundary(n: int, lookback: int) -> int | None:
 
 def build_dataset(samples: list[FeatureSample], mode: FeatureMode,
                   lookback: int) -> WindowDataset:
-    """Chronological 70/30 split; windows of `lookback` seconds predict the
-    next-second EB count. Normalization is fitted on the training portion only.
-    """
+    """Chronological 70/30 split; `windows` of `lookback` seconds of the
+    `feature_matrix` predict its next-second EB count. Normalization is fitted
+    on the training portion only."""
     n = len(samples)
     boundary = train_boundary(n, lookback)
     if boundary is None:
@@ -77,21 +88,17 @@ def build_dataset(samples: list[FeatureSample], mode: FeatureMode,
         if _is_gap(a.t, b.t):
             raise DataError(f"feature log jumps from t={a.t} to t={b.t}; "
                             f"training needs consecutive seconds")
-    feats = np.stack([feature_vector(s, mode) for s in samples])
-    counts = np.array([float(s.eb_count) for s in samples])
+    feats = feature_matrix(samples, mode)
+    counts = feats[:, 0]
 
     norm = NormalizationSpec.fit(feats[:boundary], counts[lookback:boundary])
     feats_n = norm.transform(feats)
-
-    def windows(end_lo: int, end_hi: int):
-        X = np.stack([feats_n[e - lookback:e] for e in range(end_lo, end_hi)])
-        y_raw = counts[end_lo:end_hi]
-        return X, norm.transform_target(y_raw), y_raw
-
-    X_tr, y_tr, _ = windows(lookback, boundary)
-    X_va, y_va, y_va_raw = windows(boundary, n)
-    return WindowDataset(X_train=X_tr, y_train=y_tr, X_val=X_va, y_val=y_va,
-                         y_val_raw=y_va_raw, norm=norm)
+    return WindowDataset(
+        X_train=windows(feats_n, np.arange(lookback, boundary), lookback),
+        y_train=norm.transform_target(counts[lookback:boundary]),
+        X_val=windows(feats_n, np.arange(boundary, n), lookback),
+        y_val=norm.transform_target(counts[boundary:]),
+        y_val_raw=counts[boundary:], norm=norm)
 
 
 @dataclass
@@ -149,17 +156,14 @@ class DetectionVerdict:
 def detect(spec: DetectorSpec, samples: list[FeatureSample]) -> list[DetectionVerdict]:
     """Streaming verdicts: predict each second's EB count from the trailing
     window and flag iff |observed - predicted| strictly exceeds the threshold.
-    Samples lie on the 1 s grid; any other step between two is a stream gap.
+    Samples lie on the 1 s grid; any other step between two is a stream gap,
+    whose second gets an invalid verdict with a NaN prediction and error.
 
-    The valid windows are stacked once, each as a 1-row matrix, for one
-    `forward` call, which scores them FORWARD_CHUNK at a time; every verdict
-    is bit-identical to a forward pass over its window alone.
-    """
-    if not samples:
-        return []
+    The valid `windows` of the `feature_matrix`, as training takes them, go to
+    one `forward` call, each as a 1-row matrix, scored FORWARD_CHUNK at a time;
+    every verdict is bit-identical to a forward pass over its window alone."""
     L = spec.lookback
-    feats_n = spec.norm.transform(np.stack([feature_vector(s, spec.mode)
-                                            for s in samples]))
+    feats_n = spec.norm.transform(feature_matrix(samples, spec.mode))
     slots: list[tuple[int, bool]] = []    # (sample index, valid) per verdict
     start = 0     # first sample of the current gap-free run
     for i, s in enumerate(samples):
@@ -174,23 +178,18 @@ def detect(spec: DetectorSpec, samples: list[FeatureSample]) -> list[DetectionVe
     ends = np.array([i for i, valid in slots if valid], dtype=int)
     # (N, 1, L, F) keeps each window a 1-row matrix: matmul runs one gemv per
     # window, as for a lone window; an (N, L, F) gemm batch moves the last bits
-    X = feats_n[ends[:, None] + np.arange(-L, 0)][:, None]
-    preds = iter(spec.norm.inverse_target(spec.model.forward(X)[:, 0]).tolist())
+    preds = np.full(len(samples), np.nan)
+    preds[ends] = spec.norm.inverse_target(
+        spec.model.forward(windows(feats_n, ends, L)[:, None])[:, 0])
+    preds = preds.tolist()
 
     verdicts: list[DetectionVerdict] = []
     for i, valid in slots:
         s = samples[i]
-        if valid:
-            p = next(preds)
-            err = abs(s.eb_count - p)
-            verdicts.append(DetectionVerdict(
-                t=s.t, observed=float(s.eb_count), predicted=p,
-                abs_error=err, flagged=err > spec.threshold.effective))
-        else:
-            verdicts.append(DetectionVerdict(t=s.t, observed=float(s.eb_count),
-                                             predicted=float("nan"),
-                                             abs_error=float("nan"),
-                                             flagged=False, valid=False))
+        err = abs(s.eb_count - preds[i])    # NaN, and so unflagged, for a gap
+        verdicts.append(DetectionVerdict(
+            t=s.t, observed=float(s.eb_count), predicted=preds[i], abs_error=err,
+            flagged=err > spec.threshold.effective, valid=valid))
     return verdicts
 
 
@@ -198,48 +197,42 @@ def detect(spec: DetectorSpec, samples: list[FeatureSample]) -> list[DetectionVe
 class DetectionReport:
     first_flag: float | None
     latency: float | None           # first flag - attack start; None if undetected
-    false_positives: int            # flags strictly before attack start
+    false_positives: int            # flags strictly before attack start, or all
     surges: list[tuple[float, float]]
     surges_flagged: list[bool]
 
 
-def injection_surges(inject_times: list[float], max_gap: float = 30.0,
-                     min_span: float = 60.0) -> list[tuple[float, float]]:
+def injection_surges(inject_times: list[float]) -> list[tuple[float, float]]:
     """Cluster injection events into sustained surges.
 
-    Consecutive injections separated by at most `max_gap` seconds form one
-    cluster; clusters spanning at least `min_span` seconds are surges.
+    Consecutive injections separated by at most SURGE_MAX_GAP seconds form one
+    cluster; clusters spanning at least SURGE_MIN_SPAN seconds are surges.
     """
     if not inject_times:
         return []
     ts = sorted(inject_times)
     clusters = [[ts[0], ts[0]]]
     for t in ts[1:]:
-        if t - clusters[-1][1] <= max_gap:
+        if t - clusters[-1][1] <= SURGE_MAX_GAP:
             clusters[-1][1] = t
         else:
             clusters.append([t, t])
-    return [(a, b) for a, b in clusters if b - a >= min_span]
+    return [(a, b) for a, b in clusters if b - a >= SURGE_MIN_SPAN]
 
 
 def detection_report(verdicts: list[DetectionVerdict], inject_times: list[float],
-                     attack_start: float | None,
-                     surge_slack: float = 30.0) -> DetectionReport:
+                     attack_start: float | None) -> DetectionReport:
+    """Without an attack, every flag is a false positive."""
     flags = [v.t for v in verdicts if v.valid and v.flagged]
     surges = injection_surges(inject_times)
-    surges_flagged = [any(a <= t <= b + surge_slack for t in flags)
-                      for a, b in surges]
-    if attack_start is None:
-        return DetectionReport(first_flag=flags[0] if flags else None, latency=None,
-                               false_positives=len(flags), surges=surges,
-                               surges_flagged=surges_flagged)
-    post = [t for t in flags if t >= attack_start]
+    post = flags if attack_start is None else [t for t in flags if t >= attack_start]
     first = post[0] if post else None
     return DetectionReport(
         first_flag=first,
-        latency=(first - attack_start) if first is not None else None,
-        false_positives=sum(1 for t in flags if t < attack_start),
-        surges=surges, surges_flagged=surges_flagged)
+        latency=None if first is None or attack_start is None else first - attack_start,
+        false_positives=len(flags) if attack_start is None else len(flags) - len(post),
+        surges=surges,
+        surges_flagged=[any(a <= t <= b + SURGE_SLACK for t in flags) for a, b in surges])
 
 
 # -- persistence -------------------------------------------------------------
@@ -310,6 +303,8 @@ def load_detector(path) -> DetectorSpec:
         # np.load leaks a file it opened itself when the zip is unreadable
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
+            if not isinstance(meta, dict):
+                raise DataError(f"checkpoint meta {meta!r} is not a JSON object")
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise DataError(f"unsupported checkpoint version {meta.get('version')}")
             mode = FeatureMode(meta["mode"])

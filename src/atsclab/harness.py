@@ -34,7 +34,7 @@ from . import atsc, msgplane
 from .attacker import (AttackConfig, AttackMode, ControllerAwarePolicy,
                        FixedRatePolicy, SlowPoisoningAttacker)
 from .detector import (DetectorSpec, FeatureMode, detect, detection_report,
-                       train_boundary, train_detector)
+                       injection_surges, train_boundary, train_detector)
 from .errors import ConfigError, DataError, bounded, check_ranges
 from .microsim import REAL, WAITING_SPEED, CarFollowingParams, TurnSplit, World
 from .msgplane import FeatureSample, emit_bsm, sample_features
@@ -111,7 +111,8 @@ class ScenarioConfig:
     warmup: float = bounded(600.0, at_least=0)
     cooldown: float = bounded(600.0, at_least=0)
     dt: float = 1.0
-    demand_vph: float = bounded(150.0, at_least=0)
+    # vehicles per hour per entry; each entry draws at most one arrival a second
+    demand_vph: float = bounded(150.0, at_least=0, at_most=3600)
     turn_split: TurnSplit = field(default_factory=TurnSplit)
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     car_following: CarFollowingParams = field(default_factory=CarFollowingParams)
@@ -404,9 +405,9 @@ def load_feature_log(path) -> list[FeatureSample]:
 
 
 def run_experiment(cfg: ScenarioConfig, out_dir) -> Path:
-    """Paired attack-free / attack runs sharing one seed, detector training on
-    the attack-free log, online detection on the attack log, and the
-    comparison report and charts. Returns the path of `report.txt`.
+    """Paired attack-free / attack runs sharing one seed, both detectors trained
+    on the attack-free log, then one pass per detector for its loss CSV, online
+    verdicts on the attack log, report lines and charts. Returns `report.txt`.
     """
     if cfg.attack is None:
         raise ConfigError("experiment config needs an attack section")
@@ -420,31 +421,15 @@ def run_experiment(cfg: ScenarioConfig, out_dir) -> Path:
 
     free = run_scenario(replace(cfg, attack=None), out / "attack_free")
     attacked = run_scenario(cfg, out / "attack")
-
-    tcfg = cfg.detector.training
-    specs: dict[FeatureMode, DetectorSpec] = {}
-    curves = {}
-    for mode in (FeatureMode.BASELINE, FeatureMode.UPSTREAM):
-        spec, ds, curve = train_detector(free.analysis_samples, mode, tcfg,
-                                         hidden1=cfg.detector.hidden1,
-                                         hidden2=cfg.detector.hidden2)
-        specs[mode] = spec
-        curves[mode] = curve
-        _write_csv(out / f"loss_{mode.value}.csv", ["epoch", "train_mae", "val_mae"],
-                   [[str(i + 1), fmt(tr), fmt(va)] for i, (tr, va)
-                    in enumerate(zip(curve.train_mae, curve.val_mae))])
+    # (spec, curves) per mode; each training's window dataset is dropped at once
+    trained = {mode: train_detector(free.analysis_samples, mode, cfg.detector.training,
+                                    hidden1=cfg.detector.hidden1,
+                                    hidden2=cfg.detector.hidden2)[::2]
+               for mode in FeatureMode}
 
     # surge accounting is scoped to the analysis window: verdicts only exist
     # there, so later injections cannot be flagged by construction
     window_injects = [t for t in attacked.inject_times if cfg.in_analysis(t)]
-
-    reports = {}
-    for mode, spec in specs.items():
-        verdicts = detect(spec, attacked.analysis_samples)
-        write_verdicts(out / f"verdicts_{mode.value}.csv", spec, verdicts)
-        reports[mode] = (verdicts, detection_report(
-            verdicts, window_injects, attacked.attack_start_abs))
-
     free_counts = [s.eb_count for s in free.analysis_samples]
     att_counts = [s.eb_count for s in attacked.analysis_samples]
     ts = [s.t for s in attacked.analysis_samples]
@@ -457,8 +442,14 @@ def run_experiment(cfg: ScenarioConfig, out_dir) -> Path:
     lines.append(f"EB real-vehicle waiting attack-free: {free.eb_real_waiting:.1f} s")
     lines.append(f"EB real-vehicle waiting under attack: {attacked.eb_real_waiting:.1f} s")
     csv_rows = []
-    for mode, (verdicts, rep) in reports.items():
-        spec = specs[mode]
+    for mode, (spec, curve) in trained.items():
+        epochs = list(range(1, len(curve.train_mae) + 1))
+        _write_csv(out / f"loss_{mode.value}.csv", ["epoch", "train_mae", "val_mae"],
+                   [[str(e), fmt(tr), fmt(va)] for e, tr, va
+                    in zip(epochs, curve.train_mae, curve.val_mae)])
+        verdicts = detect(spec, attacked.analysis_samples)
+        write_verdicts(out / f"verdicts_{mode.value}.csv", spec, verdicts)
+        rep = detection_report(verdicts, window_injects, attacked.attack_start_abs)
         lines.append(f"-- {mode.value} detector --")
         lines.append(f"threshold: raw {spec.threshold.raw:.3f} -> "
                      f"effective {spec.threshold.effective}")
@@ -471,6 +462,19 @@ def run_experiment(cfg: ScenarioConfig, out_dir) -> Path:
                          fmt(rep.latency) if rep.latency is not None else "",
                          str(rep.false_positives), str(len(rep.surges)),
                          str(sum(rep.surges_flagged))])
+        vts = [v.t for v in verdicts if v.valid]
+        render_svg([Series("absolute error", vts,
+                           [v.abs_error for v in verdicts if v.valid]),
+                    Series("threshold", vts,
+                           [float(spec.threshold.effective)] * len(vts))],
+                   out / f"error_{mode.value}.svg",
+                   ChartStyle(title=f"{mode.value} prediction error",
+                              xlabel="time (s)", ylabel="vehicles"))
+        render_svg([Series("train MAE", epochs, curve.train_mae),
+                    Series("val MAE", epochs, curve.val_mae)],
+                   out / f"loss_{mode.value}.svg",
+                   ChartStyle(title=f"{mode.value} loss profile",
+                              xlabel="epoch", ylabel="MAE (normalized)"))
     report_txt = out / "report.txt"
     report_txt.write_text("\n".join(lines) + "\n")
     _write_csv(out / "report.csv", ["mode", "threshold_raw", "threshold_effective",
@@ -482,24 +486,7 @@ def run_experiment(cfg: ScenarioConfig, out_dir) -> Path:
                out / "eb_counts.svg",
                ChartStyle(title="Subject EB approach vehicle count",
                           xlabel="time (s)", ylabel="vehicles"),
-               spans=reports[FeatureMode.UPSTREAM][1].surges)
-    for mode, (verdicts, rep) in reports.items():
-        vts = [v.t for v in verdicts if v.valid]
-        render_svg([Series("absolute error", vts,
-                           [v.abs_error for v in verdicts if v.valid]),
-                    Series("threshold", vts,
-                           [float(specs[mode].threshold.effective)] * len(vts))],
-                   out / f"error_{mode.value}.svg",
-                   ChartStyle(title=f"{mode.value} prediction error",
-                              xlabel="time (s)", ylabel="vehicles"))
-        c = curves[mode]
-        render_svg([Series("train MAE", list(range(1, len(c.train_mae) + 1)),
-                           c.train_mae),
-                    Series("val MAE", list(range(1, len(c.val_mae) + 1)),
-                           c.val_mae)],
-                   out / f"loss_{mode.value}.svg",
-                   ChartStyle(title=f"{mode.value} loss profile",
-                              xlabel="epoch", ylabel="MAE (normalized)"))
+               spans=injection_surges(window_injects))
     return report_txt
 
 

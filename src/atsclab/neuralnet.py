@@ -207,14 +207,23 @@ class LstmRegressor:
     @classmethod
     def from_state(cls, input_dim: int, hidden1: int, hidden2: int,
                    arrays: dict[str, np.ndarray]) -> "LstmRegressor":
-        model = cls(input_dim, hidden1, hidden2, seed=0)
-        for name in PARAM_NAMES:
-            expected = model.params[name].shape
+        """The model whose weights are `arrays`, each checked against the shape
+        the dimensions imply before any model is built, so dimensions that
+        claim more than the arrays hold cost no allocation of their size."""
+        g1, g2 = 4 * hidden1, 4 * hidden2    # fused gate widths
+        shapes = {"W1": (input_dim, g1), "U1": (hidden1, g1), "b1": (g1,),
+                  "W2": (hidden1, g2), "U2": (hidden2, g2), "b2": (g2,),
+                  "Wd": (hidden2, 1), "bd": (1,)}
+        params = {}
+        for name, expected in shapes.items():
             arr = np.asarray(arrays[name], dtype=float)
             if arr.shape != expected or not np.isfinite(arr).all():
                 raise DataError(f"checkpoint {name} is not a finite {expected} array "
                                 f"(shape {arr.shape})")
-            model.params[name] = arr
+            params[name] = arr
+        model = cls.__new__(cls)    # `__init__` would draw random weights first
+        model.input_dim, model.hidden1, model.hidden2 = input_dim, hidden1, hidden2
+        model.params = params
         return model
 
 

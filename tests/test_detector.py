@@ -1,13 +1,14 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atsclab.detector import (DetectionThreshold, DetectionVerdict, DetectorSpec, FeatureMode, _is_gap, build_dataset,
+from atsclab.detector import (SURGE_SLACK, DetectionThreshold, DetectionVerdict, DetectorSpec, FeatureMode, _is_gap, build_dataset,
                               compute_threshold, detect, detection_report,
-                              feature_vector, injection_surges, load_detector,
+                              feature_matrix, injection_surges, load_detector,
                               save_detector, train_detector)
 from atsclab.errors import DataError
 from atsclab.msgplane import FeatureSample
@@ -43,11 +44,13 @@ def synthetic_log(n=200, t0=0.0, seed=0):
 def test_feature_dimensions():
     s = sample(0.0, eb_count=4, eb_aawt=2.0, upstream=(1, 2, 3),
                upstream_awt=(0.5, 1.5, 2.5))
-    v_base = feature_vector(s, FeatureMode.BASELINE)
-    v_up = feature_vector(s, FeatureMode.UPSTREAM)
-    assert v_base.tolist() == [4.0, 2.0]
-    assert v_up.tolist() == [4.0, 2.0, 1.0, 2.0, 3.0, 0.5, 1.5, 2.5]
+    v_base = feature_matrix([s], FeatureMode.BASELINE)
+    v_up = feature_matrix([s], FeatureMode.UPSTREAM)
+    assert v_base.tolist() == [[4.0, 2.0]]
+    assert v_up.tolist() == [[4.0, 2.0, 1.0, 2.0, 3.0, 0.5, 1.5, 2.5]]
     assert FeatureMode.BASELINE.dimension == 2
+    with pytest.raises(DataError, match="3 feeder streams"):
+        feature_matrix([sample(0.0, upstream=(), upstream_awt=())], FeatureMode.UPSTREAM)
     assert FeatureMode.UPSTREAM.dimension == 8
 
 
@@ -218,6 +221,8 @@ def test_stream_gap_invalidates_window(fitted):
     invalid = [v for v in verdicts if not v.valid]
     assert len(invalid) == 1
     assert invalid[0].t == samples[60].t
+    assert math.isnan(invalid[0].predicted) and math.isnan(invalid[0].abs_error)
+    assert invalid[0].flagged is False
     # valid verdicts resume only after a fresh full window
     after = [v for v in verdicts if v.valid and v.t > samples[60].t]
     assert after[0].t == samples[60 + spec.lookback].t
@@ -227,8 +232,7 @@ def per_second_verdicts(spec, samples):
     """Replay oracle: one single-window forward per second, as a streaming
     monitor would run it."""
     L = spec.lookback
-    feats_n = spec.norm.transform(np.stack([feature_vector(s, spec.mode)
-                                            for s in samples]))
+    feats_n = spec.norm.transform(feature_matrix(samples, spec.mode))
     out = []
     start = 0
     for i, s in enumerate(samples):
@@ -255,7 +259,7 @@ def test_detect_matches_per_second_replay_bit_for_bit(mode):
     # production layer sizes, so a batch that changed the matmul kernel
     # would show in the last bits
     log = synthetic_log(FORWARD_CHUNK + 100, seed=3)
-    feats = np.stack([feature_vector(s, mode) for s in log])
+    feats = feature_matrix(log, mode)
     counts = np.array([float(s.eb_count) for s in log])
     spec = DetectorSpec(mode=mode, model=LstmRegressor(mode.dimension, 128, 8, seed=5),
                         norm=NormalizationSpec.fit(feats, counts),
@@ -274,6 +278,7 @@ def test_detect_matches_per_second_replay_bit_for_bit(mode):
         a = np.array([getattr(v, field) for v in got])
         b = np.array([getattr(v, field) for v in want])
         assert np.array_equal(a, b, equal_nan=True), field    # exact, not approx
+    assert detect(spec, []) == []
     assert detect(spec, log[:spec.lookback - 1]) == []
     assert detect(spec, log[:spec.lookback]) == []      # no full window yet
 
@@ -332,6 +337,27 @@ def test_detection_report_undetected():
     assert rep.latency is None
 
 
+def test_detection_report_without_attack_counts_every_flag_as_false_positive():
+    verdicts = [DetectionVerdict_like(t, flagged) for t, flagged
+                in [(5.0, False), (7.0, True), (9.0, False), (12.0, True)]]
+    rep = detection_report(verdicts, [], attack_start=None)
+    assert rep.false_positives == 2
+    assert rep.first_flag == 7.0
+    assert rep.latency is None
+    assert (rep.surges, rep.surges_flagged) == ([], [])
+
+
+def test_surge_flag_counts_up_to_slack_after_last_injection():
+    inject = [1000.0 + 10 * k for k in range(10)]      # one surge, 1000..1090
+    end = 1090.0 + SURGE_SLACK
+    for t, counted in [(999.0, False), (1000.0, True), (end, True),
+                       (math.nextafter(end, math.inf), False)]:
+        rep = detection_report([DetectionVerdict_like(t, True)], inject,
+                               attack_start=1000.0)
+        assert rep.surges == [(1000.0, 1090.0)]
+        assert rep.surges_flagged == [counted], t
+
+
 # -- persistence --------------------------------------------------------------
 
 def test_save_load_round_trip(tmp_path, fitted):
@@ -363,6 +389,10 @@ def test_load_rejects_truncated_or_incomplete_checkpoint(tmp_path, fitted):
     bad_mode = tmp_path / "bad_mode.npz"
     np.savez(bad_mode, **{**arrays, "meta": json.dumps(
         {**json.loads(str(arrays["meta"])), "mode": "bogus"})})
+    # valid JSON that is not an object
+    not_objects = [tmp_path / "meta_list.npz", tmp_path / "meta_null.npz"]
+    for path, text in zip(not_objects, ("[1, 2]", "null")):
+        np.savez(path, **{**arrays, "meta": text})
     meta = json.loads(str(arrays["meta"]))
     bad_fields = []
     for i, (key, value) in enumerate([
@@ -386,9 +416,29 @@ def test_load_rejects_truncated_or_incomplete_checkpoint(tmp_path, fitted):
         np.savez(path, **{**arrays, key: value})
         bad_fields.append(path)
     for path in (truncated, incomplete, bad_mode, tmp_path / "missing.npz",
-                 *bad_fields):
+                 *not_objects, *bad_fields):
         with pytest.raises(DataError):
             load_detector(path)
+
+
+def test_load_checks_claimed_sizes_before_allocating_them(tmp_path, fitted):
+    # a 12-unit checkpoint whose meta claims 1000 units: a model built at the
+    # claimed size before the shape check would trace 32 MB
+    _, spec, _, _ = fitted
+    path = tmp_path / "det.npz"
+    save_detector(spec, path)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = {**json.loads(str(arrays["meta"])), "hidden1": 1000}
+    np.savez(path, **{**arrays, "meta": json.dumps(meta)})
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="W1"):
+            load_detector(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_load_rejects_bad_version(tmp_path, fitted):

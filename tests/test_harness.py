@@ -22,9 +22,10 @@ from atsclab.attacker import (AttackConfig, AttackMode, ControllerAwarePolicy,
                               FixedRatePolicy)
 from atsclab.cli import main as cli_main
 from atsclab.errors import ConfigError, DataError
+from atsclab.detector import FeatureMode, detect, detection_report, train_detector
 from atsclab.harness import (FMT_MEMO_SIZE, ZERO_TEXTS, DetectorSettings, FloatTexts,
                              ScenarioConfig, fmt, load_feature_log, run_experiment,
-                             run_scenario)
+                             run_scenario, write_verdicts)
 from atsclab.microsim import CarFollowingParams, TurnSplit
 from atsclab.msgplane import feature_header, feature_row, sample_features
 from atsclab.neuralnet import TrainingConfig
@@ -76,7 +77,7 @@ _RANGES = [
     (ScenarioConfig, "duration", float, "[1, inf)"),    # whole, over warm-up + cool-down
     (ScenarioConfig, "warmup", float, "[0, inf)"),
     (ScenarioConfig, "cooldown", float, "[0, inf)"),
-    (ScenarioConfig, "demand_vph", float, "[0, inf)"),
+    (ScenarioConfig, "demand_vph", float, "[0, 3600]"),   # one arrival/s per entry
     (DetectorSettings, "hidden1", int, "[1, inf)"),
     (DetectorSettings, "hidden2", int, "[1, inf)"),
     (GeometryConfig, "intersections", int, "[1, inf)"),
@@ -201,6 +202,7 @@ def test_every_numeric_config_field_is_bounded():
     {"detector": {"hidden2": 0}},
     {"attack": {"target_approach": "WB"}},
     {"demand_vph": -1},
+    {"demand_vph": 7200.0},
     {"turn_split": {"through": 1.5, "left": 0.15, "right": 0.15}},
     {"detector": {"training": {"beta1": 1.0}}},
     {"detector": {"training": {"beta2": 1.0}}},
@@ -786,14 +788,19 @@ EXPERIMENT_GOLDEN = {
 }
 
 
-def test_cli_experiment_writes_every_artifact(tmp_path, capsys):
+def short_experiment_cfg() -> dict:
+    """configs/experiment.json shortened to 1500 s and 2 epochs."""
     root = Path(__file__).resolve().parents[1]
     cfg = json.loads((root / "configs" / "experiment.json").read_text())
     cfg.update(duration=1500.0, warmup=200.0, cooldown=200.0)
     cfg["attack"]["start"] = 300.0
     cfg["detector"]["training"]["epochs"] = 2
+    return cfg
+
+
+def test_cli_experiment_writes_every_artifact(tmp_path, capsys):
     cfg_path = tmp_path / "experiment.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps(short_experiment_cfg()))
     out = tmp_path / "exp"
     assert cli_main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
     report = (out / "report.txt").read_text()
@@ -815,6 +822,44 @@ def test_cli_experiment_writes_every_artifact(tmp_path, capsys):
             assert [r["epoch"] for r in csv.DictReader(fh)] == ["1", "2"]
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in EXPERIMENT_GOLDEN} == EXPERIMENT_GOLDEN
+
+
+def test_experiment_detector_artifacts_equal_their_direct_composition(tmp_path):
+    # the loss, verdict and report bytes are pinned against the detector API
+    # called on the two runs' samples, not against a BLAS-specific digest
+    cfg = ScenarioConfig.from_dict(short_experiment_cfg())
+    out = tmp_path / "exp"
+    report_txt = run_experiment(cfg, out).read_text()
+    free = run_scenario(dataclasses.replace(cfg, attack=None), tmp_path / "free")
+    attacked = run_scenario(cfg, tmp_path / "attack")
+    inject = [t for t in attacked.inject_times if cfg.in_analysis(t)]
+    rows = ["mode,threshold_raw,threshold_effective,first_flag,latency,"
+            "false_positives,surges,surges_flagged\n"]
+    for mode in FeatureMode:
+        spec, _, curves = train_detector(free.analysis_samples, mode, cfg.detector.training,
+                                         hidden1=cfg.detector.hidden1,
+                                         hidden2=cfg.detector.hidden2)
+        assert (out / f"loss_{mode.value}.csv").read_text() == "".join(
+            ["epoch,train_mae,val_mae\n"]
+            + [f"{e},{fmt(tr)},{fmt(va)}\n"
+               for e, (tr, va) in enumerate(zip(curves.train_mae, curves.val_mae), 1)])
+        verdicts = detect(spec, attacked.analysis_samples)
+        write_verdicts(tmp_path / "verdicts.csv", spec, verdicts)
+        assert ((out / f"verdicts_{mode.value}.csv").read_bytes()
+                == (tmp_path / "verdicts.csv").read_bytes())
+        rep = detection_report(verdicts, inject, attacked.attack_start_abs)
+        th = spec.threshold
+        assert (f"-- {mode.value} detector --\n"
+                f"threshold: raw {th.raw:.3f} -> effective {th.effective}\n"
+                f"first flag: {rep.first_flag}   latency: {rep.latency}\n"
+                f"false positives before attack: {rep.false_positives}\n"
+                f"surges: {len(rep.surges)}   flagged: {sum(rep.surges_flagged)}\n"
+                ) in report_txt
+        rows.append(f"{mode.value},{fmt(th.raw)},{th.effective},"
+                    f"{'' if rep.first_flag is None else fmt(rep.first_flag)},"
+                    f"{'' if rep.latency is None else fmt(rep.latency)},"
+                    f"{rep.false_positives},{len(rep.surges)},{sum(rep.surges_flagged)}\n")
+    assert (out / "report.csv").read_text() == "".join(rows)
 
 
 @pytest.mark.parametrize("kw", [
