@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 from .msgplane import FeatureSample
@@ -47,14 +48,16 @@ def feature_matrix(samples: list[FeatureSample], mode: FeatureMode) -> np.ndarra
     return np.array(rows, dtype=float).reshape(len(samples), mode.dimension)
 
 
-def windows(feats: np.ndarray, ends: np.ndarray, lookback: int) -> np.ndarray:
-    """(len(ends), lookback, F): the `lookback` rows before each end row."""
-    return feats[ends[:, None] + np.arange(-lookback, 0)]
+def windows(feats: np.ndarray, lookback: int) -> np.ndarray:
+    """(n - lookback + 1, lookback, F), a read-only view of `feats`: window k is
+    the `lookback` rows before row k + lookback, the row it predicts."""
+    return sliding_window_view(feats, lookback, axis=0).swapaxes(1, 2)
 
 
 @dataclass
 class WindowDataset:
-    X_train: np.ndarray     # (N, L, F), normalized
+    X_train: np.ndarray     # (N, L, F), normalized; X_train and X_val are
+                            # read-only views of one `windows` matrix
     y_train: np.ndarray     # (N,), normalized
     X_val: np.ndarray
     y_val: np.ndarray
@@ -92,11 +95,11 @@ def build_dataset(samples: list[FeatureSample], mode: FeatureMode,
     counts = feats[:, 0]
 
     norm = NormalizationSpec.fit(feats[:boundary], counts[lookback:boundary])
-    feats_n = norm.transform(feats)
+    X = windows(norm.transform(feats), lookback)
     return WindowDataset(
-        X_train=windows(feats_n, np.arange(lookback, boundary), lookback),
+        X_train=X[:boundary - lookback],
         y_train=norm.transform_target(counts[lookback:boundary]),
-        X_val=windows(feats_n, np.arange(boundary, n), lookback),
+        X_val=X[boundary - lookback:n - lookback],
         y_val=norm.transform_target(counts[boundary:]),
         y_val_raw=counts[boundary:], norm=norm)
 
@@ -179,8 +182,9 @@ def detect(spec: DetectorSpec, samples: list[FeatureSample]) -> list[DetectionVe
     # (N, 1, L, F) keeps each window a 1-row matrix: matmul runs one gemv per
     # window, as for a lone window; an (N, L, F) gemm batch moves the last bits
     preds = np.full(len(samples), np.nan)
-    preds[ends] = spec.norm.inverse_target(
-        spec.model.forward(windows(feats_n, ends, L)[:, None])[:, 0])
+    if len(ends):   # a log shorter than one window has no view of windows
+        preds[ends] = spec.norm.inverse_target(
+            spec.model.forward(windows(feats_n, L)[ends - L][:, None])[:, 0])
     preds = preds.tolist()
 
     verdicts: list[DetectionVerdict] = []

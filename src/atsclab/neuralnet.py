@@ -13,7 +13,9 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, bounded, check_ranges
 
 PARAM_NAMES = ("W1", "U1", "b1", "W2", "U2", "b2", "Wd", "bd")
-FORWARD_CHUNK = 256   # windows per pass of `forward`; bounds the hidden states held
+# windows per pass of `forward`: bounds the hidden states one forward holds (a
+# forward over 720 upstream windows peaks near 1 MB); 16 made replay ~15% slower
+FORWARD_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -66,9 +68,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def lstm_cell_forward(x: np.ndarray, h: np.ndarray, c: np.ndarray,
-                      W: np.ndarray, U: np.ndarray, b: np.ndarray):
-    """One LSTM step. Returns (h', c', gate cache)."""
-    z = x @ W + h @ U + b
+                      W: np.ndarray, U: np.ndarray, b: np.ndarray,
+                      hU: np.ndarray | None = None):
+    """One LSTM step. Returns (h', c', gate cache (i, f, g, o)). `hU`, if
+    given, receives h @ U, so a layer reuses one buffer for it."""
+    z = x @ W                       # x @ W + h @ U + b, added in that order
+    z += np.matmul(h, U, out=hU)
+    z += b
     H = h.shape[-1]
     i = _sigmoid(z[..., :H])
     f = _sigmoid(z[..., H:2 * H])
@@ -77,7 +83,7 @@ def lstm_cell_forward(x: np.ndarray, h: np.ndarray, c: np.ndarray,
     c_new = f * c + i * g
     tanh_c = np.tanh(c_new)
     h_new = o * tanh_c
-    return h_new, c_new, (i, f, g, o, tanh_c)
+    return h_new, c_new, (i, f, g, o)
 
 
 class LstmRegressor:
@@ -110,34 +116,45 @@ class LstmRegressor:
     # -- forward -------------------------------------------------------------
 
     def _run_layer(self, tag: str, xs: np.ndarray, cache: list | None):
-        """xs: (..., L, F) -> hidden sequence (..., L, H)."""
+        """xs: (..., L, F) -> hidden sequence (..., L, H). A cache entry holds
+        each value once: x_t and h_prev are views of `xs` and of `hs`, and
+        backward recomputes tanh(c) from the cached c."""
         *lead, L, _ = xs.shape
-        H = self.params[f"U{tag}"].shape[0]
-        h = np.zeros((*lead, H))
+        U = self.params[f"U{tag}"]
+        H = U.shape[0]
+        h = h0 = np.zeros((*lead, H))
         c = np.zeros((*lead, H))
         hs = np.empty((*lead, L, H))
+        hU = np.empty((*lead, 4 * H))
         for t in range(L):
-            h_prev, c_prev = h, c
+            c_prev = c
             h, c, gates = lstm_cell_forward(xs[..., t, :], h, c,
-                                            self.params[f"W{tag}"],
-                                            self.params[f"U{tag}"],
-                                            self.params[f"b{tag}"])
+                                            self.params[f"W{tag}"], U,
+                                            self.params[f"b{tag}"], hU)
             hs[..., t, :] = h
             if cache is not None:
-                cache.append((xs[..., t, :], h_prev, c_prev, c, gates))
+                cache.append((xs[..., t, :], hs[..., t - 1, :] if t else h0,
+                              c_prev, c, gates))
         return hs
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         """X: (..., L, F) normalized windows -> (...,) normalized predictions.
 
         The leading axis is scored FORWARD_CHUNK windows at a time, so memory
-        stays flat at any N; a window's bits do not depend on the chunk."""
+        stays flat at any N. An (N, 1, L, F) window's bits do not depend on
+        the chunk. Nor do an (N, L, F) window's, as long as the BLAS kernel's
+        row block divides the chunk, as it does on common ones; a lone last
+        window joins the chunk before it, since numpy would score one row by
+        gemv, not gemm."""
         X = np.asarray(X, dtype=float)
         if X.ndim < 3 or X.shape[-1] != self.input_dim:
             raise DataError(f"expected (..., L, {self.input_dim}) input, got {X.shape}")
         out = np.empty(X.shape[:-2])
-        for lo in range(0, len(X), FORWARD_CHUNK):
-            out[lo:lo + FORWARD_CHUNK] = self._forward_chunk(X[lo:lo + FORWARD_CHUNK])
+        cuts = list(range(FORWARD_CHUNK, len(X), FORWARD_CHUNK))
+        if cuts and cuts[-1] == len(X) - 1:
+            cuts.pop()
+        for lo, hi in zip([0, *cuts], [*cuts, len(X)]):
+            out[lo:hi] = self._forward_chunk(X[lo:hi])
         return out
 
     def _forward_chunk(self, X: np.ndarray) -> np.ndarray:
@@ -168,21 +185,26 @@ class LstmRegressor:
         dh2_seq = np.zeros((B, L, self.hidden2))
         dh2_seq[:, -1, :] = dpred[:, None] * self.params["Wd"][:, 0]
 
-        dh1_seq = self._backprop_layer("2", cache2, dh2_seq, grads)
-        self._backprop_layer("1", cache1, dh1_seq, grads)
+        dh1_seq = self._backprop_layer("2", cache2, dh2_seq, grads, input_grad=True)
+        self._backprop_layer("1", cache1, dh1_seq, grads, input_grad=False)
         return loss, grads
 
     def _backprop_layer(self, tag: str, cache: list, dh_seq: np.ndarray,
-                        grads: dict[str, np.ndarray]) -> np.ndarray:
+                        grads: dict[str, np.ndarray], input_grad: bool) -> np.ndarray | None:
+        """Accumulates the layer's weight gradients into `grads`; returns the
+        gradient of its input sequence only if `input_grad`, since nothing
+        reads layer 1's."""
         W = self.params[f"W{tag}"]
         U = self.params[f"U{tag}"]
         B, L, H = dh_seq.shape
-        F = W.shape[0]
-        dx_seq = np.empty((B, L, F))
+        dx_seq = np.empty((B, L, W.shape[0])) if input_grad else None
         dh_next = np.zeros((B, H))
         dc_next = np.zeros((B, H))
+        dz = np.empty((B, 4 * H))
+        dU = np.empty_like(U)
         for t in range(L - 1, -1, -1):
-            x_t, h_prev, c_prev, c, (i, f, g, o, tanh_c) = cache[t]
+            x_t, h_prev, c_prev, c, (i, f, g, o) = cache.pop()    # step t, freed after it
+            tanh_c = np.tanh(c)     # the forward's ufunc on the same c: same bits
             dh = dh_seq[:, t, :] + dh_next
             do = dh * tanh_c
             dc = dc_next + dh * o * (1.0 - tanh_c ** 2)
@@ -190,13 +212,15 @@ class LstmRegressor:
             df = dc * c_prev
             dg = dc * i
             dc_next = dc * f
-            dz = np.concatenate([di * i * (1 - i), df * f * (1 - f),
-                                 dg * (1 - g ** 2), do * o * (1 - o)], axis=1)
+            np.concatenate([di * i * (1 - i), df * f * (1 - f),
+                            dg * (1 - g ** 2), do * o * (1 - o)], axis=1, out=dz)
             grads[f"W{tag}"] += x_t.T @ dz
-            grads[f"U{tag}"] += h_prev.T @ dz
+            grads[f"U{tag}"] += np.matmul(h_prev.T, dz, out=dU)
             grads[f"b{tag}"] += dz.sum(axis=0)
-            dx_seq[:, t, :] = dz @ W.T
-            dh_next = dz @ U.T
+            if input_grad:
+                dx_seq[:, t, :] = dz @ W.T
+            if t:
+                dh_next = dz @ U.T
         return dx_seq
 
     # -- persistence ---------------------------------------------------------
@@ -252,12 +276,23 @@ def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     bc1 = 1.0 - b1 ** state.k
     bc2 = 1.0 - b2 ** state.k
     for name, p in params.items():
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        # in place, each operation as in p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        # with m = b1 * m + (1 - b1) * g and v = b2 * v + ((1 - b2) * g) * g
+        g, m, v = grads[name], state.m[name], state.v[name]
+        tmp = np.multiply(1 - b1, g)
+        m *= b1
+        m += tmp
+        np.multiply(1 - b2, g, out=tmp)
+        tmp *= g
+        v *= b2
+        v += tmp
+        denom = np.divide(v, bc2, out=tmp)
+        np.sqrt(denom, out=denom)
+        denom += cfg.eps
+        step = np.divide(m, bc1)
+        step *= cfg.learning_rate
+        step /= denom
+        p -= step
 
 
 @dataclass

@@ -78,6 +78,21 @@ def test_window_alignment():
     assert first_window.tolist() == [0.0, 1.0, 2.0]
 
 
+@pytest.mark.parametrize("mode", list(FeatureMode))
+def test_dataset_windows_are_read_only_views_of_one_matrix(mode):
+    samples = synthetic_log(300)
+    ds = build_dataset(samples, mode, lookback=10)
+    assert np.shares_memory(ds.X_train, ds.X_val)
+    assert not ds.X_train.flags.writeable and not ds.X_val.flags.writeable
+    feats_n = ds.norm.transform(feature_matrix(samples, mode))
+    boundary = 10 + len(ds.X_train)
+    for X, ends in ((ds.X_train, np.arange(10, boundary)),
+                    (ds.X_val, np.arange(boundary, len(samples)))):
+        gathered = feats_n[ends[:, None] + np.arange(-10, 0)]   # rows end-10 .. end-1
+        assert X.shape == gathered.shape
+        assert np.array_equal(X, gathered)
+
+
 def test_normalization_fitted_on_train_only():
     samples = [sample(float(k), eb_count=k) for k in range(100)]
     ds = build_dataset(samples, FeatureMode.BASELINE, lookback=5)

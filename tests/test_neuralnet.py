@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lstm_oracle as oracle
 from atsclab import neuralnet
 from atsclab.errors import ConfigError, DataError, NumericError
 from atsclab.neuralnet import (PARAM_NAMES, AdamState, LstmRegressor,
@@ -130,6 +131,94 @@ def test_forward_memory_does_not_grow_with_windows():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("input_dim", [2, 8])
+def test_forward_bits_do_not_depend_on_the_chunk(monkeypatch, input_dim, stacked):
+    # 97 windows leave one lone window after three chunks of 32, which forward
+    # gives to the chunk before it. One-row matrices (gemv) take any chunk,
+    # even one of 7; gemm rows only chunks the BLAS row block divides, such as
+    # 32 and 256, since a block's remainder rows get other bits
+    m = LstmRegressor(input_dim, 128, 8, seed=7)
+    X = np.random.default_rng(4).uniform(size=(97, 10, input_dim))
+    if stacked:
+        X = X[:, None]
+    assert neuralnet.FORWARD_CHUNK == 32
+    want = m.forward(X)
+    for chunk in (7 if stacked else 256, len(X)):
+        monkeypatch.setattr(neuralnet, "FORWARD_CHUNK", chunk)
+        assert np.array_equal(m.forward(X), want), chunk
+
+
+def test_forward_over_validation_windows_holds_under_1_5_mb():
+    # 720 upstream windows, as one validation pass scores them
+    m = LstmRegressor(8, 128, 8, seed=7)
+    X = np.random.default_rng(5).uniform(size=(720, 10, 8))
+    tracemalloc.start()
+    try:
+        m.forward(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, peak
+
+
+def test_training_batch_holds_under_6_mb():
+    # one upstream training step: loss and gradients, clipping and adam
+    m = LstmRegressor(8, 128, 8, seed=7)
+    rng = np.random.default_rng(6)
+    X, y = rng.uniform(size=(50, 10, 8)), rng.uniform(size=50)
+    cfg = TrainingConfig()
+    state = AdamState(m.params)
+    tracemalloc.start()
+    try:
+        _, grads = m.loss_and_gradients(X, y)
+        clip_gradients(grads, cfg.grad_clip)
+        adam_update(m.params, grads, state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.0e6, peak
+
+
+# -- the plain reference ------------------------------------------------------
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray, what: str) -> None:
+    assert got.shape == want.shape, what
+    assert np.array_equal(got, want), what
+    assert np.array_equal(np.signbit(got), np.signbit(want)), what    # -0.0 vs 0.0
+
+
+@pytest.mark.parametrize("batch", [50, 7])
+@pytest.mark.parametrize("input_dim", [2, 8])
+def test_training_steps_match_the_oracle_bit_for_bit(input_dim, batch):
+    m = LstmRegressor(input_dim, 128, 8, seed=11)
+    ref = oracle.OracleLstm(m.params)
+    cfg = TrainingConfig()
+    state, ref_state = AdamState(m.params), oracle.OracleAdam(ref.params)
+    rng = np.random.default_rng(input_dim * batch)
+    for step in range(20):
+        X = rng.uniform(size=(batch, 10, input_dim))
+        y = rng.uniform(size=batch)
+        y[0] = m.forward(X[:1])[0]      # a zero residual, whose subgradient is 0
+        loss, grads = m.loss_and_gradients(X, y)
+        ref_loss, ref_grads = ref.loss_and_gradients(X, y)
+        assert loss == ref_loss, step
+        assert set(grads) == set(ref_grads) == set(PARAM_NAMES)
+        for name in PARAM_NAMES:
+            assert_same_bits(grads[name], ref_grads[name], f"d{name} at step {step}")
+        clip_gradients(grads, cfg.grad_clip)
+        clip_gradients(ref_grads, cfg.grad_clip)
+        adam_update(m.params, grads, state, cfg)
+        oracle.adam_update(ref.params, ref_grads, ref_state, cfg)
+    for name in PARAM_NAMES:
+        assert_same_bits(m.params[name], ref.params[name], name)
+        assert_same_bits(state.m[name], ref_state.m[name], f"m of {name}")
+        assert_same_bits(state.v[name], ref_state.v[name], f"v of {name}")
+    X = rng.uniform(size=(40, 10, input_dim))
+    assert_same_bits(m.forward(X), ref.forward(X), "forward")
+    assert_same_bits(m.forward(X[:, None]), ref.forward(X[:, None]), "stacked forward")
 
 
 # -- gradient oracle ----------------------------------------------------------
